@@ -2,10 +2,9 @@
 // choices DESIGN.md calls out, measured on actual execution rather than
 // the simulator:
 //
-//   1. coarsened graph vs per-iteration DAG traversal (Sec. V-E: the paper
-//      reports 7-10x for the sweep phase on JSNT-S);
-//   2. patch-angle parallelism vs patch-serial execution (Sec. V-B);
-//   3. data-driven engine vs BSP supersteps (the Fig. 17 mechanism);
+//   1. patch-angle parallelism vs patch-serial execution (Sec. V-B);
+//   2. data-driven engine vs BSP supersteps (the Fig. 17 mechanism);
+//   3. vertex clustering vs one vertex per execution (Sec. V-C);
 //   4. dynamic (lightest-worker) assignment wins are implicit in 1-3 —
 //      engine stats are printed for inspection.
 
@@ -17,7 +16,7 @@
 #include "partition/block_layout.hpp"
 #include "partition/graph_partition.hpp"
 #include "partition/patch_set.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 using namespace jsweep;
 
@@ -58,22 +57,22 @@ struct Timed {
 
 /// Time `sweeps` repeated sweeps under a config; returns seconds/sweep of
 /// the post-warm-up sweeps.
-Timed time_sweeps(const Fixture& fx, sweep::SolverConfig config,
-                  int sweeps = 3) {
+Timed time_sweeps(const Fixture& fx, const sweep::PlanConfig& plan_config,
+                  const sweep::SolveConfig& solve_config, int sweeps = 3) {
   Timed result;
   comm::Cluster::run(kRanks, [&](comm::Context& ctx) {
     const auto owner =
         partition::assign_contiguous(fx.patches.num_patches(), ctx.size());
     const auto plan =
         sweep::SweepPlan::build(ctx, fx.mesh, fx.patches, owner, fx.disc,
-                                fx.quad, sweep::plan_config_of(config));
-    sweep::SweepSession session(ctx, plan, sweep::solve_config_of(config));
-    (void)session.sweep(fx.q);  // warm-up / recording sweep
+                                fx.quad, plan_config);
+    sweep::SweepSession session(ctx, plan, solve_config);
+    (void)session.sweep(fx.q);  // warm-up sweep
     WallTimer timer;
     for (int i = 0; i < sweeps; ++i) (void)session.sweep(fx.q);
     if (ctx.rank().value() == 0) {
       result.seconds = timer.seconds() / sweeps;
-      if (config.engine == sweep::EngineKind::DataDriven) {
+      if (solve_config.engine == sweep::EngineKind::DataDriven) {
         result.engine = session.stats().engine;
         result.has_engine = true;
       }
@@ -94,51 +93,44 @@ int main(int argc, char** argv) {
       "2 workers on this host; seconds per sweep after warm-up");
 
   Table table({"configuration", "s/sweep", "vs baseline"});
-  sweep::SolverConfig base;
-  base.num_workers = 2;
-  base.cluster_grain = 64;
+  sweep::PlanConfig base_plan;
+  base_plan.cluster_grain = 64;
+  sweep::SolveConfig base_solve;
+  base_solve.num_workers = 2;
   const std::int64_t problem = fx.mesh.num_cells() * fx.quad.num_angles();
-  const int threads = kRanks * base.num_workers;
+  const int threads = kRanks * base_solve.num_workers;
   const auto sample = [&](const char* tag, const Timed& t) {
     bench::Sample s{tag, t.seconds, threads, problem, {}};
     if (t.has_engine) bench::append_engine_stats(s, t.engine);
     bench::record(std::move(s));
   };
-  const Timed t_base = time_sweeps(fx, base);
+  const Timed t_base = time_sweeps(fx, base_plan, base_solve);
   table.add_row(
       {"data-driven DAG (baseline)", Table::num(t_base.seconds, 4), "1.00"});
   sample("baseline", t_base);
 
   {
-    sweep::SolverConfig cfg = base;
-    cfg.use_coarsened_graph = true;  // sweeps 2+ replay on CG
-    const Timed t = time_sweeps(fx, cfg);
-    table.add_row({"coarsened graph (Sec V-E)", Table::num(t.seconds, 4),
-                   Table::num(t_base.seconds / t.seconds, 2) + "x faster"});
-    sample("coarsened_graph", t);
-  }
-  {
-    sweep::SolverConfig cfg = base;
+    sweep::PlanConfig cfg = base_plan;
     cfg.patch_angle_parallelism = false;
-    const Timed t = time_sweeps(fx, cfg);
+    const Timed t = time_sweeps(fx, cfg, base_solve);
     table.add_row({"patch-serial (no patch-angle par.)",
                    Table::num(t.seconds, 4),
                    Table::num(t.seconds / t_base.seconds, 2) + "x slower"});
     sample("patch_serial", t);
   }
   {
-    sweep::SolverConfig cfg = base;
+    sweep::SolveConfig cfg = base_solve;
     cfg.engine = sweep::EngineKind::Bsp;
-    const Timed t = time_sweeps(fx, cfg);
+    const Timed t = time_sweeps(fx, base_plan, cfg);
     table.add_row({"BSP supersteps (pre-JSweep model)",
                    Table::num(t.seconds, 4),
                    Table::num(t.seconds / t_base.seconds, 2) + "x slower"});
     sample("bsp_supersteps", t);
   }
   {
-    sweep::SolverConfig cfg = base;
+    sweep::PlanConfig cfg = base_plan;
     cfg.cluster_grain = 1;
-    const Timed t = time_sweeps(fx, cfg);
+    const Timed t = time_sweeps(fx, cfg, base_solve);
     table.add_row({"no vertex clustering (grain 1)",
                    Table::num(t.seconds, 4),
                    Table::num(t.seconds / t_base.seconds, 2) + "x slower"});
@@ -172,17 +164,16 @@ int main(int argc, char** argv) {
     const auto time_small = [&](bool patch_angle) {
       Timed result;
       comm::Cluster::run(1, [&](comm::Context& ctx) {
-        sweep::SolverConfig config;
-        config.num_workers = 8;
-        config.cluster_grain = 64;
-        config.patch_angle_parallelism = patch_angle;
+        sweep::PlanConfig plan_config;
+        plan_config.cluster_grain = 64;
+        plan_config.patch_angle_parallelism = patch_angle;
+        sweep::SolveConfig solve_config;
+        solve_config.num_workers = 8;
         const auto owner =
             partition::assign_contiguous(patches.num_patches(), 1);
-        const auto plan =
-            sweep::SweepPlan::build(ctx, small, patches, owner, disc, quad,
-                                    sweep::plan_config_of(config));
-        sweep::SweepSession session(ctx, plan,
-                                    sweep::solve_config_of(config));
+        const auto plan = sweep::SweepPlan::build(ctx, small, patches, owner,
+                                                  disc, quad, plan_config);
+        sweep::SweepSession session(ctx, plan, solve_config);
         (void)session.sweep(q);
         WallTimer timer;
         for (int i = 0; i < 3; ++i) (void)session.sweep(q);
@@ -230,7 +221,7 @@ int main(int argc, char** argv) {
         "twisted (cyclic) vs straight (acyclic) column, same lattice",
         "8x8x16-hex column as tets (6144 cells), S4 (24 angles), 2 ranks x "
         "2 workers; twisted runs with cycle_policy=lag");
-    const auto time_column = [&](double twist, sweep::SolverStats* stats) {
+    const auto time_column = [&](double twist, sweep::SolveStats* stats) {
       const mesh::TetMesh m =
           mesh::make_twisted_column_mesh(8, 16, twist, 20.0, 32.0);
       const partition::CsrGraph cg = partition::cell_graph(m);
@@ -244,17 +235,14 @@ int main(int argc, char** argv) {
           static_cast<std::size_t>(m.num_cells()), 0.25);
       double seconds = 0.0;
       comm::Cluster::run(2, [&](comm::Context& ctx) {
-        sweep::SolverConfig config;
-        config.num_workers = 2;
-        config.cluster_grain = 64;
-        config.cycle_policy = sweep::CyclePolicy::Lag;
+        sweep::PlanConfig plan_config;
+        plan_config.cluster_grain = 64;
+        plan_config.cycle_policy = sweep::CyclePolicy::Lag;
         const auto owner =
             partition::assign_contiguous(ps.num_patches(), ctx.size());
-        const auto plan =
-            sweep::SweepPlan::build(ctx, m, ps, owner, disc, col_quad,
-                                    sweep::plan_config_of(config));
-        sweep::SweepSession session(ctx, plan,
-                                    sweep::solve_config_of(config));
+        const auto plan = sweep::SweepPlan::build(ctx, m, ps, owner, disc,
+                                                  col_quad, plan_config);
+        sweep::SweepSession session(ctx, plan);
         (void)session.sweep(col_q);
         WallTimer timer;
         for (int i = 0; i < 3; ++i) (void)session.sweep(col_q);
@@ -265,8 +253,8 @@ int main(int argc, char** argv) {
       });
       return seconds;
     };
-    sweep::SolverStats straight_stats;
-    sweep::SolverStats twisted_stats;
+    sweep::SolveStats straight_stats;
+    sweep::SolveStats twisted_stats;
     const double t_straight = time_column(0.0, &straight_stats);
     const double t_twisted = time_column(5.0, &twisted_stats);
     const std::int64_t col_problem = 6144LL * 24;

@@ -26,7 +26,7 @@
 #include "sn/quadrature.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 namespace jsweep::bench {
 
@@ -288,7 +288,7 @@ inline void append_sim_breakdown(Sample& s, const sim::SimResult& r) {
 /// Embed the solver's cycle-breaking diagnostics in a sample so the cost
 /// of sweeping cyclic meshes (feedback edges lagged, extra engine runs,
 /// lag residual) is measurable from BENCH_<name>.json.
-inline void append_cycle_stats(Sample& s, const sweep::SolverStats& st) {
+inline void append_cycle_stats(Sample& s, const sweep::SolveStats& st) {
   s.params.emplace_back("cyclic_angles",
                         static_cast<double>(st.cyclic_angles));
   s.params.emplace_back("cyclic_sccs",

@@ -16,7 +16,7 @@
 #include "partition/adjacency.hpp"
 #include "partition/block_layout.hpp"
 #include "partition/patch_set.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 using namespace jsweep;
 
@@ -72,15 +72,15 @@ void real_host_scale() {
     double seconds = 0.0;
     std::int64_t executions = 0;
     comm::Cluster::run(kRanks, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = kWorkers;
-      config.cluster_grain = grain;
+      sweep::PlanConfig plan_config;
+      plan_config.cluster_grain = grain;
+      sweep::SolveConfig solve_config;
+      solve_config.num_workers = kWorkers;
       const auto owner =
           partition::assign_contiguous(patches.num_patches(), ctx.size());
-      const auto plan =
-          sweep::SweepPlan::build(ctx, m, patches, owner, disc, quad,
-                                  sweep::plan_config_of(config));
-      sweep::SweepSession session(ctx, plan, sweep::solve_config_of(config));
+      const auto plan = sweep::SweepPlan::build(ctx, m, patches, owner, disc,
+                                                quad, plan_config);
+      sweep::SweepSession session(ctx, plan, solve_config);
       (void)session.sweep(q);  // warm-up (graph build amortized)
       WallTimer timer;
       (void)session.sweep(q);

@@ -28,7 +28,7 @@
 #include "sim/patch_topology.hpp"
 #include "sn/multigroup.hpp"
 #include "support/timer.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 using namespace jsweep;
 
@@ -137,20 +137,21 @@ Timed solve(const Fixture& f, bool pipelined, int workers) {
   // fill/activation-latency numbers it collects.
   metrics::Registry registry;
   comm::Cluster::run(kRanks, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.num_workers = workers;
-    config.multigroup = &f.mxs;
-    config.group_pipelining = pipelined;
+    sweep::PlanConfig plan_config;
+    plan_config.multigroup = &f.mxs;
+    plan_config.group_pipelining = pipelined;
+    sweep::SolveConfig solve_config;
+    solve_config.num_workers = workers;
     // Both modes carry the registry so its (<= 2%) cost cancels out of the
     // pipelined-vs-barriered speedup; only pipelined runs publish the
     // pipeline fill/activation families.
-    config.metrics.registry = &registry;
+    solve_config.metrics.registry = &registry;
     const auto owner =
         partition::assign_contiguous(f.patches.num_patches(), ctx.size());
     const auto plan =
         sweep::SweepPlan::build(ctx, f.mesh, f.patches, owner, f.disc,
-                                f.quad, sweep::plan_config_of(config));
-    sweep::SweepSession session(ctx, plan, sweep::solve_config_of(config));
+                                f.quad, plan_config);
+    sweep::SweepSession session(ctx, plan, solve_config);
     sn::MultigroupOptions mg;
     mg.inner.tolerance = 1e-5;
     mg.inner.max_iterations = 100;

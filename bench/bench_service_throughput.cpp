@@ -7,7 +7,7 @@
 // same transport work:
 //
 //   rebuild   — the pre-plan lifecycle: build the full task system anew
-//               for every request (what SweepSolver-per-solve costs);
+//               for every request (a private plan per solve);
 //   sessions  — build ONE immutable plan, run a fresh SweepSession per
 //               request (plan reuse, serial requests);
 //   service   — the same plan behind a SweepService fusing max_batch

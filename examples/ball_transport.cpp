@@ -51,7 +51,6 @@ int main(int argc, char** argv) {
                                               quad, plan_config);
     sweep::SolveConfig solve_config;
     solve_config.num_workers = 2;
-    solve_config.use_coarsened_graph = true;
     sweep::SweepSession session(ctx, plan, solve_config);
 
     WallTimer t_solve;

@@ -4,17 +4,19 @@
 /*
    build/examples/jsweep_cli --mesh=kobayashi --n=16 --sn=4 \
        --engine=jsweep --ranks=4 --workers=2 --grain=64 \
-       --priority=SLBD --coarsened --trace=/tmp/trace.json --profile \
+       --priority=SLBD --trace=/tmp/trace.json --profile \
        --vtk=/tmp/flux.vtk
 */
 // Run with --help for the full flag list.
 
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,7 +65,6 @@ struct Options {
   int grain = 64;
   int patch_cells = 0;  // 0 = default per mesh type
   std::string priority = "SLBD";
-  bool coarsened = false;
   std::string cycle_policy = "error";  // assume | error | lag
   int lag_sweeps = 1;
   double tolerance = 1e-6;
@@ -113,7 +114,6 @@ void usage() {
   --grain=G                       vertex clustering grain (default 64)
   --patch-cells=P                 cells per patch (default: mesh-specific)
   --priority=None|BFS|LDCP|SLBD   patch+vertex strategy (default SLBD)
-  --coarsened                     replay iterations 2+ on the coarsened graph
   --cycle-policy=assume|error|lag cyclic-dependence handling (default error:
                                   detect and refuse; lag: cut feedback edges
                                   and iterate their fluxes)
@@ -176,6 +176,28 @@ bool parse_double_flag(const char* flag, const std::string& text,
   return true;
 }
 
+/// Enum-valued flags accept only their listed spellings; anything else
+/// refuses with a usage hint instead of falling back to a default.
+bool check_choice(const char* flag, const std::string& value,
+                  std::initializer_list<const char*> choices) {
+  std::string listed;
+  for (const char* c : choices) {
+    if (value == c) return true;
+    listed += listed.empty() ? c : std::string("|") + c;
+  }
+  std::fprintf(stderr, "%s must be one of %s, got '%s' (try --help)\n", flag,
+               listed.c_str(), value.c_str());
+  return false;
+}
+
+/// Lower-bound check for an integer flag, with a usage hint.
+bool check_at_least(const char* flag, int value, int min) {
+  if (value >= min) return true;
+  std::fprintf(stderr, "%s must be >= %d, got %d (try --help)\n", flag, min,
+               value);
+  return false;
+}
+
 std::optional<Options> parse(int argc, char** argv) {
   Options opt;
   bool ok = true;
@@ -218,8 +240,6 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (int_flag("--patch-cells", opt.patch_cells)) {
     } else if (auto v = value("--priority")) {
       opt.priority = *v;
-    } else if (arg == "--coarsened") {
-      opt.coarsened = true;
     } else if (auto v = value("--cycle-policy")) {
       opt.cycle_policy = *v;
     } else if (int_flag("--lag-sweeps", opt.lag_sweeps)) {
@@ -246,9 +266,21 @@ std::optional<Options> parse(int argc, char** argv) {
     }
     if (!ok) return std::nullopt;
   }
-  if (opt.groups < 1) {
-    std::fprintf(stderr, "--groups must be >= 1, got %d (try --help)\n",
-                 opt.groups);
+  if (!check_choice("--engine", opt.engine, {"jsweep", "bsp", "serial"}) ||
+      !check_choice("--priority", opt.priority,
+                    {"None", "BFS", "LDCP", "SLBD"}) ||
+      !check_choice("--cycle-policy", opt.cycle_policy,
+                    {"assume", "error", "lag"}) ||
+      !check_at_least("--groups", opt.groups, 1) ||
+      !check_at_least("--ranks", opt.ranks, 1) ||
+      !check_at_least("--workers", opt.workers, 1) ||
+      !check_at_least("--patch-cells", opt.patch_cells, 0) ||
+      !check_at_least("--lag-sweeps", opt.lag_sweeps, 1))
+    return std::nullopt;
+  if (!(std::isfinite(opt.tolerance) && opt.tolerance > 0.0)) {
+    std::fprintf(stderr, "--tolerance must be finite and > 0, got %g (try "
+                         "--help)\n",
+                 opt.tolerance);
     return std::nullopt;
   }
   if (opt.group_set < 1 || opt.group_set > sn::kMaxGroupSetWidth) {
@@ -392,9 +424,7 @@ int solve_k_eigen(const Options& opt, const Mesh& mesh, const Disc& disc,
                                 ? sweep::EngineKind::Bsp
                                 : sweep::EngineKind::DataDriven;
       solve_config.num_workers = opt.workers;
-      solve_config.use_coarsened_graph =
-          opt.coarsened && solve_config.engine == sweep::EngineKind::DataDriven;
-      solve_config.max_lag_sweeps = std::max(1, opt.lag_sweeps);
+      solve_config.max_lag_sweeps = opt.lag_sweeps;
       solve_config.work_stealing = opt.steal;
       solve_config.steal_spin_rounds = opt.steal_spin;
       solve_config.scheduler_seed =
@@ -528,9 +558,7 @@ int solve_multigroup(const Options& opt, const Mesh& mesh, const Disc& disc,
                                 ? sweep::EngineKind::Bsp
                                 : sweep::EngineKind::DataDriven;
       solve_config.num_workers = opt.workers;
-      solve_config.use_coarsened_graph =
-          opt.coarsened && solve_config.engine == sweep::EngineKind::DataDriven;
-      solve_config.max_lag_sweeps = std::max(1, opt.lag_sweeps);
+      solve_config.max_lag_sweeps = opt.lag_sweeps;
       solve_config.work_stealing = opt.steal;
       solve_config.steal_spin_rounds = opt.steal_spin;
       solve_config.scheduler_seed =
@@ -719,9 +747,7 @@ int solve(const Options& opt, const Mesh& mesh, const Disc& disc,
                                 ? sweep::EngineKind::Bsp
                                 : sweep::EngineKind::DataDriven;
       solve_config.num_workers = opt.workers;
-      solve_config.use_coarsened_graph =
-          opt.coarsened && solve_config.engine == sweep::EngineKind::DataDriven;
-      solve_config.max_lag_sweeps = std::max(1, opt.lag_sweeps);
+      solve_config.max_lag_sweeps = opt.lag_sweeps;
       solve_config.work_stealing = opt.steal;
       solve_config.steal_spin_rounds = opt.steal_spin;
       solve_config.scheduler_seed =

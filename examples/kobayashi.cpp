@@ -67,8 +67,6 @@ int main(int argc, char** argv) {
       sweep::SolveConfig solve_config;
       solve_config.engine = engine;
       solve_config.num_workers = 2;
-      solve_config.use_coarsened_graph =
-          engine == sweep::EngineKind::DataDriven;
       sweep::SweepSession session(ctx, plan, solve_config);
       const auto r = sn::source_iteration(xs, session.as_operator(), opts);
       if (ctx.rank().value() == 0) result = r;

@@ -54,7 +54,6 @@ int main() {
 
     sweep::SolveConfig solve_config;
     solve_config.num_workers = 2;
-    solve_config.use_coarsened_graph = true;  // iterations 2+ replay on CG
     sweep::SweepSession session(ctx, plan, solve_config);
     const auto result = sn::source_iteration(xs, session.as_operator(),
                                              {1e-6, 100, false});

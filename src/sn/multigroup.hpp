@@ -16,7 +16,7 @@
 ///     are frozen at the enclosing outer iteration. Because group g+1's
 ///     source is a *cell-local* function of group g's flux, the per-group
 ///     sweeps of one pass can be pipelined per patch — exactly what
-///     sweep::SweepSolver's group-aware engines do. Pure downscatter needs
+///     sweep::SweepSession's group-aware engines do. Pure downscatter needs
 ///     one outer (the pass loop alone converges); upscatter wraps the pass
 ///     loop in an outer Gauss-Seidel that refreshes the frozen sources.
 ///
@@ -24,8 +24,7 @@
 /// degenerates bitwise to plain source_iteration() when G == 1.
 ///
 /// Each group's sweep reuses the same patch task graphs and engine: only
-/// cross sections and sources change, which is exactly the reuse the
-/// coarsened graph exploits across iterations.
+/// cross sections and sources change.
 
 #include <functional>
 #include <numbers>

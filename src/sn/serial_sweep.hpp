@@ -82,8 +82,8 @@ class StructuredSerialSweeper {
 /// solver (graph::compute_cycle_cut), sweeps the acyclic remainder in
 /// topological order, and carries the cut faces' fluxes from sweep to
 /// sweep as lagged (old-iterate) inputs. Because the cut and the lag
-/// semantics are identical to SweepSolver with CyclePolicy::Lag and
-/// max_lag_sweeps = 1, sweep() reproduces the parallel engines' scalar
+/// semantics are identical to a SweepSession over a CyclePolicy::Lag plan
+/// with max_lag_sweeps = 1, sweep() reproduces the parallel engines' scalar
 /// flux bit-for-bit, sweep after sweep — the ground truth of the
 /// cross-engine equivalence suite on cyclic meshes.
 class SerialSweeper {

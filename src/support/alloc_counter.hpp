@@ -7,8 +7,9 @@
 /// whole binary with counting variants, so hot-path tests and benches can
 /// assert "this loop allocated nothing". Include it from EXACTLY ONE
 /// translation unit per binary (the definitions below are deliberately
-/// non-inline replacements of the global operators) — currently
-/// tests/test_flux_workspace.cpp and bench/bench_micro.cpp.
+/// non-inline replacements of the global operators). The nothrow forms
+/// are replaced too, so every allocation and release pairs with the same
+/// malloc/free (std::stable_sort's temporary buffer uses them).
 
 #include <atomic>
 #include <cstdint>
@@ -38,8 +39,19 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  jsweep::support::detail::g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size ? size : 1);
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 #pragma GCC diagnostic pop

@@ -84,10 +84,6 @@ void GroupPipeline::register_program(PatchId p, AngleId a, GroupId set,
   phi_ptrs_[slot] = phi_local;
 }
 
-void GroupPipeline::clear_programs() {
-  std::fill(phi_ptrs_.begin(), phi_ptrs_.end(), nullptr);
-}
-
 void GroupPipeline::begin_pass(
     const std::vector<std::vector<double>>& q_base) {
   JSWEEP_CHECK_MSG(static_cast<int>(q_base.size()) == xs_.groups(),

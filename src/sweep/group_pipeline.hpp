@@ -141,12 +141,9 @@ class GroupPipeline {
   /// Build-time: declare this rank's local patches (once, sized in one
   /// shot) and then each of their programs' φ arrays (lane-strided
   /// `[v * set_width_of(s) + lane]` over the patch's cells).
-  /// Re-registration (clear_programs + register_program) swaps in the
-  /// coarsened programs' arrays.
   void register_patches(const std::vector<PatchId>& patches);
   void register_program(PatchId p, AngleId a, GroupId set,
                         const std::vector<double>* phi_local);
-  void clear_programs();
 
   /// Reset for one multigroup sweep pass: pack the per-group base sources
   /// into the lane-strided per-set layout, zero the per-group flux

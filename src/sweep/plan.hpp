@@ -228,7 +228,7 @@ class SweepPlan {
   SweepPlan() = default;
 
   // Shared build core, parameterized over the mesh type via builder
-  // lambdas (same shape the old SweepSolver used).
+  // lambdas.
   static std::shared_ptr<const SweepPlan> build_impl(
       comm::Context& ctx, std::int64_t mesh_cells,
       const partition::PatchSet& ps, std::vector<RankId> patch_owner,

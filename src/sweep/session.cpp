@@ -40,9 +40,6 @@ SweepSession::SweepSession(comm::Context& ctx,
   JSWEEP_CHECK_MSG(host_ == nullptr || config_.engine == EngineKind::DataDriven,
                    "service-attached sessions run on the host data-driven "
                    "engine; EngineKind::Bsp is standalone-only");
-  JSWEEP_CHECK_MSG(host_ == nullptr || !config_.use_coarsened_graph,
-                   "coarsened replay is unavailable in service-attached "
-                   "mode");
 
   WallTimer timer;
   const PlanConfig& pc = plan_->config();
@@ -101,7 +98,7 @@ SweepSession::SweepSession(comm::Context& ctx,
   stats_.cycles = plan_->cycle_stats();
   stats_.cyclic_angles = plan_->cyclic_angles();
 
-  install_programs(config_.use_coarsened_graph);
+  install_programs();
   stats_.build_seconds = plan_->build_seconds() + timer.seconds();
 }
 
@@ -126,9 +123,7 @@ void SweepSession::apply_scheduling(core::EngineConfig& ec) const {
   ec.scheduler_seed = config_.scheduler_seed;
 }
 
-void SweepSession::install_programs(bool record_clusters) {
-  programs_.clear();
-  keys_.clear();
+void SweepSession::install_programs() {
   core::Engine* target = host_;
   if (host_ == nullptr) {
     if (config_.engine == EngineKind::DataDriven) {
@@ -153,13 +148,11 @@ void SweepSession::install_programs(bool record_clusters) {
     shared_.stream_buffers = &host_->buffer_pool();
   }
 
-  if (pipeline_ != nullptr) pipeline_->clear_programs();
   const int lane_offset = lane_ * plan_->tags_per_request();
   for (const PlanProgram& slot : plan_->programs()) {
     const SweepTaskData& data = plan_->task_data(slot.data_index);
     SweepProgramOptions opts;
     opts.cluster_grain = plan_->config().cluster_grain;
-    opts.record_clusters = record_clusters;
     opts.group = slot.group;
     opts.lane_tag_offset = lane_offset;
     if (!plan_->config().patch_angle_parallelism)
@@ -189,64 +182,14 @@ void SweepSession::install_programs(bool record_clusters) {
   }
 }
 
-void SweepSession::activate_coarsened() {
-  WallTimer timer;
-  coarse_data_.clear();
-  coarse_programs_.clear();
-  const auto& slots = plan_->programs();
-  for (std::size_t i = 0; i < programs_.size(); ++i) {
-    // Each program (not each task data: group programs of one (patch,
-    // angle) record their own executions) yields one coarsened replay.
-    coarse_data_.push_back(std::make_unique<CoarsenedSweepData>(
-        plan_->task_data(slots[i].data_index),
-        programs_[i]->recorded_clusters(),
-        std::max<std::int32_t>(1, programs_[i]->recorded_num_clusters())));
-  }
-
-  // Fresh engine holding the coarsened programs; priorities carry over.
-  core::EngineConfig ec;
-  ec.num_workers = config_.num_workers;
-  ec.termination = core::TerminationMode::KnownWorkload;
-  ec.recorder = config_.trace.recorder;
-  ec.metrics = config_.metrics.registry;
-  apply_scheduling(ec);
-  auto coarse_engine = std::make_unique<core::Engine>(ctx_, ec);
-  if (pipeline_ != nullptr) pipeline_->clear_programs();
-  for (std::size_t i = 0; i < coarse_data_.size(); ++i) {
-    auto prog = std::make_unique<CoarsenedSweepProgram>(
-        *coarse_data_[i], shared_, slots[i].group);
-    coarse_programs_.push_back(prog.get());
-    if (pipeline_ != nullptr)
-      pipeline_->register_program(coarse_data_[i]->fine().patch(),
-                                  coarse_data_[i]->fine().angle(),
-                                  slots[i].group, &prog->phi_local());
-    coarse_engine->add_program(std::move(prog), slots[i].priority,
-                               /*initially_active=*/slots[i].group ==
-                                   GroupId{0});
-  }
-  coarse_engine->set_routes(plan_->patch_owner());
-  engine_ = std::move(coarse_engine);
-  shared_.stream_buffers = &engine_->buffer_pool();
-  programs_.clear();  // fine programs are gone with the old engine
-  coarsened_active_ = true;
-  stats_.coarsen_seconds += timer.seconds();
-}
-
 void SweepSession::collect_phi(std::vector<double>& phi_global) const {
   // Fixed program order + rank-ordered allreduce → bitwise deterministic
   // results regardless of worker count or scheduling.
-  const auto accumulate = [&](const auto& progs) {
-    for (const auto* prog : progs) {
-      const auto& cells = plan_->patches().cells(prog->key().patch);
-      const auto& phi = prog->phi_local();
-      for (std::size_t v = 0; v < phi.size(); ++v)
-        phi_global[static_cast<std::size_t>(cells[v].value())] += phi[v];
-    }
-  };
-  if (coarsened_active_) {
-    accumulate(coarse_programs_);
-  } else {
-    accumulate(programs_);
+  for (const auto* prog : programs_) {
+    const auto& cells = plan_->patches().cells(prog->key().patch);
+    const auto& phi = prog->phi_local();
+    for (std::size_t v = 0; v < phi.size(); ++v)
+      phi_global[static_cast<std::size_t>(cells[v].value())] += phi[v];
   }
 }
 
@@ -303,10 +246,6 @@ std::vector<double> SweepSession::sweep(
       static_cast<std::size_t>(plan_->patches().num_cells()), 0.0);
   collect_phi(phi);
   ctx_.allreduce_sum(phi);
-
-  // After the first recorded sweep, switch to the coarsened graph.
-  if (config_.use_coarsened_graph && !coarsened_active_ && engine_)
-    activate_coarsened();
 
   ++stats_.sweeps;
   stats_.last_sweep_seconds = timer.seconds();
@@ -455,9 +394,6 @@ void SweepSession::multigroup_pass(
     // solver's next formation step.
     next_q_armed_ = pipeline_->source_overlap_enabled();
   }
-  // After the first recorded pass, replay on the coarsened graph.
-  if (config_.use_coarsened_graph && !coarsened_active_ && engine_)
-    activate_coarsened();
   ++stats_.multigroup_passes;
   stats_.sweeps += G;
   stats_.last_sweep_seconds = timer.seconds();

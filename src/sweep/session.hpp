@@ -14,8 +14,7 @@
 ///
 /// Two modes:
 ///  - **standalone** (the common case): the session owns a core::Engine or
-///    core::BspEngine and sweep()/solve_multigroup() drive it directly —
-///    the old SweepSolver behavior, bitwise identical.
+///    core::BspEngine and sweep()/solve_multigroup() drive it directly.
 ///  - **service-attached**: the session registers its programs into a host
 ///    engine under a request-lane tag offset (lane_task_tag) and exposes
 ///    the begin_sweep()/commit_lagged()/finish_sweep() protocol; the
@@ -32,7 +31,6 @@
 #include "core/engine.hpp"
 #include "sn/multigroup.hpp"
 #include "sn/source_iteration.hpp"
-#include "sweep/coarsened_program.hpp"
 #include "sweep/group_pipeline.hpp"
 #include "sweep/plan.hpp"
 #include "sweep/sweep_program.hpp"
@@ -50,8 +48,8 @@ enum class EngineKind {
 };
 
 /// Runtime-tracing knob: when `recorder` is non-null every engine run of
-/// the session (fine and coarsened) records events into it, ready for
-/// trace::write_chrome_trace / trace::analyze. Null (default) = off.
+/// the session records events into it, ready for trace::write_chrome_trace
+/// / trace::analyze. Null (default) = off.
 struct TraceConfig {
   trace::Recorder* recorder = nullptr;  ///< null disables tracing
 };
@@ -70,8 +68,6 @@ struct MetricsConfig {
 struct SolveConfig {
   EngineKind engine = EngineKind::DataDriven;  ///< runtime selection
   int num_workers = 2;  ///< worker threads per rank (standalone mode)
-  /// Replay sweeps 2..n on the coarsened graph (standalone mode only).
-  bool use_coarsened_graph = false;
   /// With CyclePolicy::Lag and a cyclic mesh, run up to this many engine
   /// sweeps per sweep() call, re-feeding the lagged faces each time, until
   /// their residual drops below `lag_tolerance`. 1 = plain lagging (the
@@ -101,8 +97,7 @@ struct SolveConfig {
 };
 
 /// Counters and timings accumulated across a session's lifetime. Cycle
-/// diagnostics and build time are inherited from the plan so the facade's
-/// stats keep their historical meaning.
+/// diagnostics and build time are inherited from the plan.
 struct SolveStats {
   int sweeps = 0;  ///< transport sweeps executed (all groups counted)
   /// Energy groups of the solve (1 unless multigroup).
@@ -110,7 +105,6 @@ struct SolveStats {
   /// Multigroup sweep passes executed by solve_multigroup().
   int multigroup_passes = 0;
   double build_seconds = 0.0;       ///< plan build + program install time
-  double coarsen_seconds = 0.0;     ///< coarsened-graph construction time
   double last_sweep_seconds = 0.0;  ///< wall time of the last sweep/pass
   core::EngineStats engine;  ///< last data-driven run
   core::BspStats bsp;        ///< last BSP run
@@ -138,8 +132,8 @@ class SweepSession {
   /// Service-attached session (request lane `lane` ≥ 0): registers its
   /// programs into `host` under the lane's tag namespace and is driven via
   /// begin_sweep()/commit_lagged()/finish_sweep() by the SweepService.
-  /// `host` must outlive the session; the direct solve entry points and
-  /// the coarsened replay are unavailable in this mode.
+  /// `host` must outlive the session; the direct solve entry points are
+  /// unavailable in this mode.
   SweepSession(comm::Context& ctx, std::shared_ptr<const SweepPlan> plan,
                SolveConfig config, core::Engine& host, int lane);
 
@@ -224,8 +218,7 @@ class SweepSession {
   /// Resolve the steal/spin/seed knobs into an engine config (explicit
   /// SolveConfig > plan tuning > engine default; env still overrides).
   void apply_scheduling(core::EngineConfig& ec) const;
-  void install_programs(bool record_clusters);
-  void activate_coarsened();
+  void install_programs();
   void collect_phi(std::vector<double>& phi_global) const;
   /// Exactly one engine (or BSP) run; updates the engine stats.
   void run_engine_once();
@@ -265,9 +258,6 @@ class SweepSession {
   std::unique_ptr<core::BspEngine> bsp_;
   std::vector<SweepPatchProgram*> programs_;  ///< engine-owned, fixed order
   std::vector<ProgramKey> keys_;              ///< parallel to programs_
-  std::vector<std::unique_ptr<CoarsenedSweepData>> coarse_data_;
-  std::vector<CoarsenedSweepProgram*> coarse_programs_;
-  bool coarsened_active_ = false;
 
   // Live instruments, created once at construction when
   // config_.metrics.registry is set (all null otherwise).

@@ -5,6 +5,13 @@
 
 namespace jsweep::sweep {
 
+namespace {
+
+/// At init, seed every lagged read face with the previous sweep's iterate
+/// so cut dependencies never wait. `group` is the base energy group and
+/// `width` the group-set width: lane l seeds workspace index
+/// `ws_slot * width + l` from group `group + l`'s store stride (width 1 is
+/// the classic scalar layout, bit-for-bit).
 void seed_lagged_faces(const SweepTaskData& data, const LaggedFluxStore* store,
                        GroupId group, sn::FaceFluxWorkspace& flux,
                        int width) {
@@ -20,6 +27,10 @@ void seed_lagged_faces(const SweepTaskData& data, const LaggedFluxStore* store,
                      store->prev_by_slot(s.store_slot, group.value() + l));
 }
 
+/// After computing vertex v, stage each lagged face it wrote for the next
+/// sweep and restore the old iterate, so any later reader sees the value
+/// the cut promised regardless of execution order. Same (group, width)
+/// striding contract as seed_lagged_faces().
 void stage_lagged_writes(const SweepTaskData& data, LaggedFluxStore* store,
                          GroupId group, std::int32_t v,
                          sn::FaceFluxWorkspace& flux, int width) {
@@ -32,6 +43,8 @@ void stage_lagged_writes(const SweepTaskData& data, LaggedFluxStore* store,
     }
   });
 }
+
+}  // namespace
 
 void WorkspaceLease::reset_for_run(const SweepShared& shared) {
   // The privately owned fallback workspace must never enter the pool.
@@ -67,6 +80,10 @@ void WorkspaceLease::release_if(bool done, const SweepShared& shared) {
   flux_ = nullptr;
 }
 
+namespace {
+
+/// Init-time sizing of the per-destination out-item buffers to their
+/// static per-sweep maximum (allocation-free batching afterwards).
 void prepare_out_buffers(const SweepTaskData& data,
                          std::vector<std::vector<StreamItem>>& out_items,
                          std::vector<core::Stream>& pending) {
@@ -80,6 +97,9 @@ void prepare_out_buffers(const SweepTaskData& data,
   pending.reserve(static_cast<std::size_t>(data.num_destinations()));
 }
 
+/// Batch-end flush: encode each destination's buffered items into one
+/// pooled-payload stream (ascending patch id — the deterministic emission
+/// order) and queue it on `pending`.
 void flush_out_streams(const SweepTaskData& data, const SweepShared& shared,
                        const ProgramKey& src,
                        std::vector<std::vector<StreamItem>>& out_items,
@@ -99,6 +119,11 @@ void flush_out_streams(const SweepTaskData& data, const SweepShared& shared,
   }
 }
 
+/// Group-set counterparts of prepare_out_buffers()/flush_out_streams():
+/// each remote face delivery becomes one SetStreamRecord plus `width` lane
+/// values (lanes flat in `out_lanes[d]`, record i owning
+/// `[i*width, (i+1)*width)`), encoded with the set codec so the receiver
+/// decrements its dependency counter once per record.
 void prepare_set_out_buffers(
     const SweepTaskData& data, int width,
     std::vector<std::vector<SetStreamRecord>>& out_records,
@@ -142,6 +167,8 @@ void flush_set_out_streams(
     pending.push_back(std::move(s));
   }
 }
+
+}  // namespace
 
 SweepPatchProgram::SweepPatchProgram(const SweepTaskData& data,
                                      const SweepShared& shared,
@@ -188,10 +215,6 @@ void SweepPatchProgram::init() {
                   static_cast<std::size_t>(set_width_),
               0.0);
   computed_ = 0;
-  if (options_.record_clusters) {
-    cluster_of_.assign(static_cast<std::size_t>(data_.num_vertices()), -1);
-    next_cluster_ = 0;
-  }
   gate_open_ =
       shared_.pipeline == nullptr || options_.group == GroupId{0};
   completion_reported_ = false;
@@ -289,8 +312,6 @@ void SweepPatchProgram::compute() {
       phi_[static_cast<std::size_t>(v)] = ang.weight * psi;
     }
     ++computed_;
-    if (options_.record_clusters)
-      cluster_of_[static_cast<std::size_t>(v)] = next_cluster_;
 
     // Downwind updates: local vertices may become ready (possibly within
     // this same batch — Listing 1's inner enqueue); remote edges buffer
@@ -322,7 +343,6 @@ void SweepPatchProgram::compute() {
     stage_lagged_writes(data_, shared_.lagged, lag_group(), v, flux,
                         set_width_);
   }
-  if (options_.record_clusters && in_batch > 0) ++next_cluster_;
 
   if (set_width_ > 1)
     flush_set_out_streams(data_, shared_, set_width_, key(), out_records_,

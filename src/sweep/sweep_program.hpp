@@ -6,8 +6,7 @@
 /// its local context is the per-vertex dependency counters, the ready
 /// priority queue, the dense face-flux workspace and the per-destination
 /// out-stream buffers. compute() retires up to `cluster_grain` ready
-/// vertices per execution (vertex clustering, Sec. V-C) and can record the
-/// resulting clusters to build the coarsened graph (Sec. V-E).
+/// vertices per execution (vertex clustering, Sec. V-C).
 ///
 /// Steady-state allocation budget: zero. The face-flux workspace comes
 /// from a shared FaceFluxPool (borrowed at init(), returned when the last
@@ -33,8 +32,8 @@ namespace jsweep::sweep {
 
 class GroupPipeline;
 
-/// Rank-level context shared by all sweep programs of one solver. The
-/// solver updates `q_per_ster` between source iterations; everything else
+/// Rank-level context shared by all sweep programs of one session. The
+/// session updates `q_per_ster` between source iterations; everything else
 /// is immutable during a run.
 struct SweepShared {
   const sn::Discretization* disc = nullptr;       ///< per-cell sweep kernel
@@ -61,32 +60,12 @@ struct SweepShared {
   GroupId current_group{0};
 };
 
-// Shared lagged-face (cycle-cut) handling — ONE implementation of the
-// schedule-independence invariant for both the fine and the coarsened
-// program, which must stay bitwise-identical.
-
-/// At init, seed every lagged read face with the previous sweep's iterate
-/// so cut dependencies never wait. `group` is the base energy group and
-/// `width` the group-set width: lane l seeds workspace index
-/// `ws_slot * width + l` from group `group + l`'s store stride (width 1 is
-/// the classic scalar layout, bit-for-bit).
-void seed_lagged_faces(const SweepTaskData& data, const LaggedFluxStore* store,
-                       GroupId group, sn::FaceFluxWorkspace& flux,
-                       int width = 1);
-/// After computing vertex v, stage each lagged face it wrote for the next
-/// sweep and restore the old iterate, so any later reader sees the value
-/// the cut promised regardless of execution order. Same (group, width)
-/// striding contract as seed_lagged_faces().
-void stage_lagged_writes(const SweepTaskData& data, LaggedFluxStore* store,
-                         GroupId group, std::int32_t v,
-                         sn::FaceFluxWorkspace& flux, int width = 1);
-
-/// One implementation of the workspace borrow/seed/release protocol for
-/// both the fine and the coarsened program. A program borrows its dense
-/// workspace lazily — nothing is held until the first flux arrives or the
-/// first vertex computes — and returns it the moment its last vertex
-/// retires, so the pool's live set tracks the sweep frontier. Without a
-/// shared pool the lease falls back to a privately owned workspace.
+/// The program's workspace borrow/seed/release protocol. A program
+/// borrows its dense workspace lazily — nothing is held until the first
+/// flux arrives or the first vertex computes — and returns it the moment
+/// its last vertex retires, so the pool's live set tracks the sweep
+/// frontier. Without a shared pool the lease falls back to a privately
+/// owned workspace.
 class WorkspaceLease {
  public:
   /// Init-time: drop any stale borrow left by an aborted previous run.
@@ -107,42 +86,10 @@ class WorkspaceLease {
   sn::FaceFluxWorkspace owned_;
 };
 
-/// Init-time sizing of the per-destination out-item buffers to their
-/// static per-sweep maximum (allocation-free batching afterwards).
-void prepare_out_buffers(const SweepTaskData& data,
-                         std::vector<std::vector<StreamItem>>& out_items,
-                         std::vector<core::Stream>& pending);
-/// Batch-end flush: encode each destination's buffered items into one
-/// pooled-payload stream (ascending patch id — the deterministic emission
-/// order) and queue it on `pending`.
-void flush_out_streams(const SweepTaskData& data, const SweepShared& shared,
-                       const ProgramKey& src,
-                       std::vector<std::vector<StreamItem>>& out_items,
-                       std::vector<core::Stream>& pending);
-
-/// Group-set counterparts of prepare_out_buffers()/flush_out_streams():
-/// each remote face delivery becomes one SetStreamRecord plus `width` lane
-/// values (lanes flat in `out_lanes[d]`, record i owning
-/// `[i*width, (i+1)*width)`), encoded with the set codec so the receiver
-/// decrements its dependency counter once per record.
-void prepare_set_out_buffers(
-    const SweepTaskData& data, int width,
-    std::vector<std::vector<SetStreamRecord>>& out_records,
-    std::vector<std::vector<double>>& out_lanes,
-    std::vector<core::Stream>& pending);
-void flush_set_out_streams(
-    const SweepTaskData& data, const SweepShared& shared, int width,
-    const ProgramKey& src,
-    std::vector<std::vector<SetStreamRecord>>& out_records,
-    std::vector<std::vector<double>>& out_lanes,
-    std::vector<core::Stream>& pending);
-
 /// Per-program knobs (fixed at construction).
 struct SweepProgramOptions {
   /// Max vertices retired per compute() execution (the paper's N).
   int cluster_grain = 64;
-  /// Record compute() batches as clusters for coarsened-graph replay.
-  bool record_clusters = false;
   /// When non-null, compute() holds this mutex — serializes all angles of
   /// one patch, the "patch is the unit of parallelism" ablation.
   std::mutex* patch_serializer = nullptr;
@@ -191,17 +138,6 @@ class SweepPatchProgram final : public core::PatchProgram {
   /// per vertex, `[v * W + lane]`, one per group of the set.
   [[nodiscard]] const std::vector<double>& phi_local() const { return phi_; }
 
-  /// Cluster id per vertex from the recorded execution (record_clusters
-  /// must have been set); -1 for vertices never computed (none, after a
-  /// complete run).
-  [[nodiscard]] const std::vector<std::int32_t>& recorded_clusters() const {
-    return cluster_of_;
-  }
-  /// Number of clusters the recorded execution produced.
-  [[nodiscard]] std::int32_t recorded_num_clusters() const {
-    return next_cluster_;
-  }
-
   /// The immutable task data this program sweeps.
   [[nodiscard]] const SweepTaskData& data() const { return data_; }
 
@@ -247,8 +183,6 @@ class SweepPatchProgram final : public core::PatchProgram {
   std::vector<core::Stream> pending_;
   std::vector<double> phi_;
   std::int64_t computed_ = 0;
-  std::vector<std::int32_t> cluster_of_;
-  std::int32_t next_cluster_ = 0;
   /// Group gate: false until the pipeline's activation stream arrives
   /// (always true for group 0 or single-group solves).
   bool gate_open_ = true;

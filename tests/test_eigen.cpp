@@ -23,7 +23,6 @@
 #include "sn/serial_sweep.hpp"
 #include "support/check.hpp"
 #include "sweep/eigen.hpp"
-#include "sweep/solver.hpp"
 
 namespace jsweep {
 namespace {
@@ -177,8 +176,8 @@ sweep::EigenResult run_parallel_eigen(
     const sn::FissionXs& fission, const sn::Quadrature& quad,
     const sn::BoundarySpec& bc, int blocks, int ranks,
     const sweep::EigenOptions& options, sweep::EngineKind kind,
-    bool pipelined = true, bool coarsened = false,
-    std::uint64_t scheduler_seed = 0, int work_stealing = -1) {
+    bool pipelined = true, std::uint64_t scheduler_seed = 0,
+    int work_stealing = -1) {
   sweep::EigenResult out;
   const partition::CsrGraph cg = partition::cell_graph(m);
   const partition::PatchSet ps = make_patches(m, cg, blocks);
@@ -195,12 +194,10 @@ sweep::EigenResult run_parallel_eigen(
         sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc);
     sweep::SolveConfig sc;
     sc.engine = kind;
-    sc.num_workers = 2;
-    sc.use_coarsened_graph = coarsened;
     sc.scheduler_seed = scheduler_seed;
     sc.work_stealing = work_stealing;
     const auto result =
-        sweep::solve_k_eigenvalue(ctx, plan, xs, fission, options);
+        sweep::solve_k_eigenvalue(ctx, plan, xs, fission, options, sc);
     if (ctx.rank().value() == 0) out = result;
   });
   return out;
@@ -250,15 +247,19 @@ TEST(Boundary, ReflectingFixedSourceMatchesSerialReference) {
     for (const int ranks : {1, 2}) {
       std::vector<std::vector<double>> phis;
       comm::Cluster::run(ranks, [&](comm::Context& ctx) {
-        sweep::SolverConfig config;
-        config.engine = kind;
-        config.num_workers = 2;
-        config.cluster_grain = 8;
+        sweep::PlanConfig plan_config;
+        plan_config.cluster_grain = 8;
+        sweep::SolveConfig solve_config;
+        solve_config.engine = kind;
         const auto owner =
             partition::assign_contiguous(ps.num_patches(), ctx.size());
-        sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
+        sweep::SweepSession session(
+            ctx,
+            sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad,
+                                    plan_config),
+            solve_config);
         std::vector<std::vector<double>> local;
-        for (int k = 0; k < 3; ++k) local.push_back(solver.sweep(q));
+        for (int k = 0; k < 3; ++k) local.push_back(session.sweep(q));
         if (ctx.rank().value() == 0) phis = std::move(local);
       });
       ASSERT_EQ(phis.size(), reference.size());
@@ -396,8 +397,8 @@ sweep::EigenOptions fixed_work_options(int outers) {
 
 TEST(Eigen, CrossEngineKeffBitwise) {
   // Two-group heterogeneous box with mixed albedo sides: the data-driven
-  // (pipelined, barriered, coarsened-replay) and BSP engines, on one and
-  // two ranks, must all produce the same k and φ bitwise.
+  // (pipelined, barriered) and BSP engines, on one and two ranks, must all
+  // produce the same k and φ bitwise.
   const mesh::StructuredMesh m = mesh::make_cube_mesh(4, 4.0);
   TwoGroupCore core(m.num_cells());
   sn::BoundarySpec bc;
@@ -428,12 +429,6 @@ TEST(Eigen, CrossEngineKeffBitwise) {
       run_parallel_eigen(m, core.xs, core.fission, quad, bc, 2, 2, options,
                          sweep::EngineKind::DataDriven, /*pipelined=*/false),
       "data-driven barriered");
-  expect_bitwise_equal(
-      reference,
-      run_parallel_eigen(m, core.xs, core.fission, quad, bc, 2, 1, options,
-                         sweep::EngineKind::DataDriven, /*pipelined=*/true,
-                         /*coarsened=*/true),
-      "data-driven coarsened");
 
   // And the serial reference agrees bitwise on the same fixed work.
   sn::MultigroupXs xs = core.xs;
@@ -471,8 +466,7 @@ TEST(Eigen, SchedulePerturbationInvariance) {
           reference,
           run_parallel_eigen(m, core.xs, core.fission, quad, bc, 2, 1,
                              options, sweep::EngineKind::DataDriven,
-                             /*pipelined=*/true, /*coarsened=*/false, seed,
-                             stealing),
+                             /*pipelined=*/true, seed, stealing),
           "perturbed schedule");
     }
   }
@@ -499,14 +493,17 @@ TEST(Boundary, ReflectingFixedSourceSchedulePerturbationInvariance) {
   const auto run = [&](std::uint64_t seed, int stealing) {
     std::vector<std::vector<double>> phis;
     comm::Cluster::run(1, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = 2;
-      config.cluster_grain = 8;
-      config.scheduler_seed = seed;
-      config.work_stealing = stealing;
+      sweep::PlanConfig plan_config;
+      plan_config.cluster_grain = 8;
+      sweep::SolveConfig solve_config;
+      solve_config.scheduler_seed = seed;
+      solve_config.work_stealing = stealing;
       const auto owner = partition::assign_contiguous(ps.num_patches(), 1);
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-      for (int k = 0; k < 3; ++k) phis.push_back(solver.sweep(q));
+      sweep::SweepSession session(
+          ctx,
+          sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, plan_config),
+          solve_config);
+      for (int k = 0; k < 3; ++k) phis.push_back(session.sweep(q));
     });
     return phis;
   };

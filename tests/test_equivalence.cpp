@@ -1,7 +1,7 @@
 // Cross-engine equivalence suite (ctest label `equivalence`): on a shared
 // matrix of scenarios — structured, unstructured, AMR-refined, and cyclic
-// meshes — the data-driven engine, the BSP engine, the coarsened replay
-// path and the serial reference must produce identical scalar fluxes to
+// meshes — the data-driven engine, the BSP engine and the serial
+// reference must produce identical scalar fluxes to
 // 1e-12, sweep after sweep. The kernels are deterministic and execution
 // order along the (cut) DAG changes no operand, so any divergence is a
 // scheduling or cycle-handling bug, not roundoff.
@@ -24,7 +24,7 @@
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
 #include "support/rng.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 namespace jsweep {
 namespace {
@@ -47,20 +47,22 @@ template <class Mesh, class Disc>
 std::vector<std::vector<double>> run_engine(
     const Mesh& m, const partition::PatchSet& ps, const Disc& disc,
     const sn::Quadrature& quad, const std::vector<double>& q, int ranks,
-    sweep::EngineKind kind, bool coarsened, sweep::CyclePolicy policy) {
+    sweep::EngineKind kind, sweep::CyclePolicy policy) {
   std::vector<std::vector<double>> phis;
   comm::Cluster::run(ranks, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.engine = kind;
-    config.num_workers = 2;
-    config.cluster_grain = 8;  // small batches → heavy partial computation
-    config.use_coarsened_graph = coarsened;
-    config.cycle_policy = policy;
+    sweep::PlanConfig plan_config;
+    plan_config.cluster_grain = 8;  // small batches → heavy partial computation
+    plan_config.cycle_policy = policy;
+    sweep::SolveConfig solve_config;
+    solve_config.engine = kind;
     const auto owner =
         partition::assign_contiguous(ps.num_patches(), ctx.size());
-    sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
+    sweep::SweepSession session(
+        ctx,
+        sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, plan_config),
+        solve_config);
     std::vector<std::vector<double>> local;
-    for (int k = 0; k < kSweeps; ++k) local.push_back(solver.sweep(q));
+    for (int k = 0; k < kSweeps; ++k) local.push_back(session.sweep(q));
     if (ctx.rank().value() == 0) phis = std::move(local);
   });
   return phis;
@@ -89,18 +91,12 @@ void expect_all_engines_match(
   const auto q = test_source(m.num_cells());
   expect_matches(reference,
                  run_engine(m, ps, disc, quad, q, 2,
-                            sweep::EngineKind::DataDriven, false, policy),
+                            sweep::EngineKind::DataDriven, policy),
                  scenario, "data-driven");
   expect_matches(reference,
                  run_engine(m, ps, disc, quad, q, 2, sweep::EngineKind::Bsp,
-                            false, policy),
+                            policy),
                  scenario, "bsp");
-  // Coarsened replay: sweep 1 runs (and records) the fine graph, sweeps
-  // 2+ replay on the coarsened graph — all must match the reference.
-  expect_matches(reference,
-                 run_engine(m, ps, disc, quad, q, 2,
-                            sweep::EngineKind::DataDriven, true, policy),
-                 scenario, "data-driven-coarsened");
 }
 
 /// Serial reference for acyclic scenarios: stateless, so every sweep of a
@@ -256,19 +252,22 @@ TEST(Equivalence, CyclicSourceIterationConverges) {
   for (const auto kind :
        {sweep::EngineKind::DataDriven, sweep::EngineKind::Bsp}) {
     comm::Cluster::run(2, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.engine = kind;
-      config.num_workers = 2;
-      config.cycle_policy = sweep::CyclePolicy::Lag;
+      sweep::PlanConfig plan_config;
+      plan_config.cycle_policy = sweep::CyclePolicy::Lag;
+      sweep::SolveConfig solve_config;
+      solve_config.engine = kind;
       const auto owner =
           partition::assign_contiguous(ps.num_patches(), ctx.size());
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
+      sweep::SweepSession session(
+          ctx,
+          sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, plan_config),
+          solve_config);
       const auto result =
-          sn::source_iteration(xs, solver.as_operator(), {1e-6, 200, false});
+          sn::source_iteration(xs, session.as_operator(), {1e-6, 200, false});
       if (ctx.rank().value() == 0) {
         EXPECT_TRUE(result.converged);
-        EXPECT_GT(solver.stats().cyclic_angles, 0);
-        EXPECT_GT(solver.stats().cycles.edges_cut, 0);
+        EXPECT_GT(session.stats().cyclic_angles, 0);
+        EXPECT_GT(session.stats().cycles.edges_cut, 0);
         (kind == sweep::EngineKind::DataDriven ? phi_dd : phi_bsp) =
             result.phi;
       }
@@ -304,20 +303,23 @@ TEST(Equivalence, InnerLagSweepsTightenTheOperator) {
   const auto solve = [&](int lag_sweeps, double* residual) {
     int iterations = 0;
     comm::Cluster::run(1, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = 2;
-      config.cycle_policy = sweep::CyclePolicy::Lag;
-      config.max_lag_sweeps = lag_sweeps;
-      config.lag_tolerance = 1e-13;
+      sweep::PlanConfig plan_config;
+      plan_config.cycle_policy = sweep::CyclePolicy::Lag;
+      sweep::SolveConfig solve_config;
+      solve_config.max_lag_sweeps = lag_sweeps;
+      solve_config.lag_tolerance = 1e-13;
       const auto owner = partition::assign_contiguous(ps.num_patches(), 1);
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
+      sweep::SweepSession session(
+          ctx,
+          sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, plan_config),
+          solve_config);
       const auto result =
-          sn::source_iteration(xs, solver.as_operator(), {1e-8, 300, false});
+          sn::source_iteration(xs, session.as_operator(), {1e-8, 300, false});
       EXPECT_TRUE(result.converged);
       iterations = result.iterations;
-      *residual = solver.stats().last_lag_residual;
+      *residual = session.stats().last_lag_residual;
       if (lag_sweeps > 1) {
-        EXPECT_GT(solver.stats().last_lag_sweeps, 1);
+        EXPECT_GT(session.stats().last_lag_sweeps, 1);
       }
     });
     return iterations;
@@ -333,30 +335,31 @@ TEST(Equivalence, InnerLagSweepsTightenTheOperator) {
 // ---------------------------------------------------------------------------
 // Multigroup (G = 4): the engine matrix must agree with the serial
 // sweep-pass reference on a full multigroup solve — data-driven pipelined,
-// data-driven group-barriered, BSP pipelined and coarsened pipelined.
+// data-driven group-barriered and BSP pipelined.
 // ---------------------------------------------------------------------------
 
 template <class Mesh, class Disc>
 std::vector<std::vector<double>> run_multigroup_engine(
     const Mesh& m, const partition::PatchSet& ps, const Disc& disc,
     const sn::Quadrature& quad, const sn::MultigroupXs& xs, int ranks,
-    sweep::EngineKind kind, bool pipelined, bool coarsened,
-    const sn::MultigroupOptions& opts, int set_width = 1) {
+    sweep::EngineKind kind, bool pipelined, const sn::MultigroupOptions& opts,
+    int set_width = 1) {
   std::vector<std::vector<double>> phi;
   comm::Cluster::run(ranks, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.engine = kind;
-    config.num_workers = 2;
-    config.cluster_grain = 8;  // small batches → heavy partial computation
-    config.multigroup = &xs;
-    config.group_pipelining = pipelined;
-    config.group_set_width = set_width;
-    config.use_coarsened_graph =
-        coarsened && kind == sweep::EngineKind::DataDriven;
+    sweep::PlanConfig plan_config;
+    plan_config.cluster_grain = 8;  // small batches → heavy partial computation
+    plan_config.multigroup = &xs;
+    plan_config.group_pipelining = pipelined;
+    plan_config.group_set_width = set_width;
+    sweep::SolveConfig solve_config;
+    solve_config.engine = kind;
     const auto owner =
         partition::assign_contiguous(ps.num_patches(), ctx.size());
-    sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-    const auto result = solver.solve_multigroup(opts);
+    sweep::SweepSession session(
+        ctx,
+        sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, plan_config),
+        solve_config);
+    const auto result = session.solve_multigroup(opts);
     EXPECT_TRUE(result.converged);
     if (ctx.rank().value() == 0) phi = result.phi;
   });
@@ -402,20 +405,14 @@ void expect_multigroup_engines_match(const char* scenario, const Mesh& m,
             << scenario << "/" << engine << " group " << g << " cell " << c;
   };
   check(run_multigroup_engine(m, ps, disc, quad, xs, 2,
-                              sweep::EngineKind::DataDriven, true, false,
-                              opts),
+                              sweep::EngineKind::DataDriven, true, opts),
         "data-driven-pipelined");
   check(run_multigroup_engine(m, ps, disc, quad, xs, 2,
-                              sweep::EngineKind::DataDriven, false, false,
-                              opts),
+                              sweep::EngineKind::DataDriven, false, opts),
         "data-driven-barriered");
   check(run_multigroup_engine(m, ps, disc, quad, xs, 2,
-                              sweep::EngineKind::Bsp, true, false, opts),
+                              sweep::EngineKind::Bsp, true, opts),
         "bsp-pipelined");
-  check(run_multigroup_engine(m, ps, disc, quad, xs, 2,
-                              sweep::EngineKind::DataDriven, true, true,
-                              opts),
-        "data-driven-coarsened-pipelined");
 }
 
 TEST(Equivalence, MultigroupStructuredKobayashi) {
@@ -456,19 +453,22 @@ TEST(Equivalence, MultigroupCyclicTwistedPipelinedVsBarriered) {
   const auto run = [&](bool pipelined, int max_lag_sweeps) {
     std::vector<std::vector<double>> phi;
     comm::Cluster::run(2, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = 2;
-      config.cluster_grain = 8;
-      config.cycle_policy = sweep::CyclePolicy::Lag;
-      config.max_lag_sweeps = max_lag_sweeps;
-      config.multigroup = &mxs;
-      config.group_pipelining = pipelined;
+      sweep::PlanConfig plan_config;
+      plan_config.cluster_grain = 8;
+      plan_config.cycle_policy = sweep::CyclePolicy::Lag;
+      plan_config.multigroup = &mxs;
+      plan_config.group_pipelining = pipelined;
+      sweep::SolveConfig solve_config;
+      solve_config.max_lag_sweeps = max_lag_sweeps;
       const auto owner =
           partition::assign_contiguous(ps.num_patches(), ctx.size());
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-      const auto result = solver.solve_multigroup(opts);
+      sweep::SweepSession session(
+          ctx,
+          sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, plan_config),
+          solve_config);
+      const auto result = session.solve_multigroup(opts);
       EXPECT_TRUE(result.converged);
-      EXPECT_GT(solver.stats().cyclic_angles, 0);
+      EXPECT_GT(session.stats().cyclic_angles, 0);
       if (ctx.rank().value() == 0) phi = result.phi;
     });
     return phi;
@@ -495,7 +495,7 @@ TEST(Equivalence, MultigroupCyclicTwistedPipelinedVsBarriered) {
 // Group sets (G = 7): batched engines at W ∈ {1, 2, 4} — W = 4 leaves a
 // ragged final set {4, 5, 6}, W = 2 a single-lane set {6} — must reproduce
 // the width-aware serial sweep-pass reference to 1e-12 across the matrix:
-// data-driven pipelined, group-barriered, BSP pipelined, coarsened.
+// data-driven pipelined, group-barriered, BSP pipelined.
 // ---------------------------------------------------------------------------
 
 TEST(Equivalence, MultigroupGroupSetWidths) {
@@ -542,21 +542,16 @@ TEST(Equivalence, MultigroupGroupSetWidths) {
               << engine << " group " << g << " cell " << c;
     };
     check(run_multigroup_engine(m, ps, disc, quad, xs, 2,
-                                sweep::EngineKind::DataDriven, true, false,
-                                opts, width),
+                                sweep::EngineKind::DataDriven, true, opts,
+                                width),
           "data-driven-pipelined");
     check(run_multigroup_engine(m, ps, disc, quad, xs, 2,
-                                sweep::EngineKind::DataDriven, false, false,
-                                opts, width),
+                                sweep::EngineKind::DataDriven, false, opts,
+                                width),
           "data-driven-barriered");
     check(run_multigroup_engine(m, ps, disc, quad, xs, 2,
-                                sweep::EngineKind::Bsp, true, false, opts,
-                                width),
+                                sweep::EngineKind::Bsp, true, opts, width),
           "bsp-pipelined");
-    check(run_multigroup_engine(m, ps, disc, quad, xs, 2,
-                                sweep::EngineKind::DataDriven, true, true,
-                                opts, width),
-          "data-driven-coarsened-pipelined");
   }
 }
 
@@ -580,19 +575,20 @@ TEST(Equivalence, MultigroupCyclicGroupSetPipelinedVsBarriered) {
   const auto run = [&](bool pipelined) {
     std::vector<std::vector<double>> phi;
     comm::Cluster::run(2, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = 2;
-      config.cluster_grain = 8;
-      config.cycle_policy = sweep::CyclePolicy::Lag;
-      config.multigroup = &mxs;
-      config.group_pipelining = pipelined;
-      config.group_set_width = 4;
+      sweep::PlanConfig plan_config;
+      plan_config.cluster_grain = 8;
+      plan_config.cycle_policy = sweep::CyclePolicy::Lag;
+      plan_config.multigroup = &mxs;
+      plan_config.group_pipelining = pipelined;
+      plan_config.group_set_width = 4;
       const auto owner =
           partition::assign_contiguous(ps.num_patches(), ctx.size());
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-      const auto result = solver.solve_multigroup(opts);
+      sweep::SweepSession session(
+          ctx,
+          sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, plan_config));
+      const auto result = session.solve_multigroup(opts);
       EXPECT_TRUE(result.converged);
-      EXPECT_GT(solver.stats().cyclic_angles, 0);
+      EXPECT_GT(session.stats().cyclic_angles, 0);
       if (ctx.rank().value() == 0) phi = result.phi;
     });
     return phi;
@@ -647,7 +643,7 @@ TEST(Equivalence, RandomizedBoundaryStressHarness) {
                                           : sweep::EngineKind::Bsp;
       const int ranks = 1 + static_cast<int>(rng.below(2));
       expect_matches(reference,
-                     run_engine(m, ps, disc, quad, q, ranks, kind, false,
+                     run_engine(m, ps, disc, quad, q, ranks, kind,
                                 sweep::CyclePolicy::Lag),
                      "stress-tet", "engine");
       continue;
@@ -722,19 +718,23 @@ TEST(Equivalence, RandomizedBoundaryStressHarness) {
     const auto run = [&](std::uint64_t seed, int stealing) {
       std::vector<std::vector<double>> phi;
       comm::Cluster::run(ranks, [&](comm::Context& ctx) {
-        sweep::SolverConfig config;
-        config.engine = kind;
-        config.num_workers = 2;
-        config.cluster_grain = 8;
-        config.multigroup = &xs;
-        config.group_pipelining = pipelined;
-        config.group_set_width = W;
-        config.scheduler_seed = seed;
-        config.work_stealing = stealing;
+        sweep::PlanConfig plan_config;
+        plan_config.cluster_grain = 8;
+        plan_config.multigroup = &xs;
+        plan_config.group_pipelining = pipelined;
+        plan_config.group_set_width = W;
+        sweep::SolveConfig solve_config;
+        solve_config.engine = kind;
+        solve_config.scheduler_seed = seed;
+        solve_config.work_stealing = stealing;
         const auto owner =
             partition::assign_contiguous(ps.num_patches(), ctx.size());
-        sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-        const auto result = solver.solve_multigroup(opts);
+        sweep::SweepSession session(
+            ctx,
+            sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad,
+                                    plan_config),
+            solve_config);
+        const auto result = session.solve_multigroup(opts);
         if (ctx.rank().value() == 0) phi = result.phi;
       });
       return phi;

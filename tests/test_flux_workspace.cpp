@@ -21,7 +21,7 @@
 #include "sn/serial_sweep.hpp"
 #include "support/alloc_counter.hpp"
 #include "support/rng.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 namespace jsweep::sn {
 namespace {
@@ -223,29 +223,29 @@ TEST(FaceFluxPool, RecyclesWorkspacesUnderRealEngine) {
   const int num_programs = layout.num_patches() * quad.num_angles();
 
   comm::Cluster::run(1, [&](comm::Context& ctx) {
-    SolverConfig config;
-    config.num_workers = 2;
-    SweepSolver solver(ctx, m, ps, partition::assign_contiguous(
-                                       layout.num_patches(), 1),
-                       disc, quad, config);
-    const auto phi1 = solver.sweep(q);
-    const auto created_after_first = solver.flux_pool().created();
+    SweepSession session(
+        ctx, SweepPlan::build(ctx, m, ps,
+                              partition::assign_contiguous(
+                                  layout.num_patches(), 1),
+                              disc, quad));
+    const auto phi1 = session.sweep(q);
+    const auto created_after_first = session.flux_pool().created();
     EXPECT_GT(created_after_first, 0);
     EXPECT_LT(created_after_first, num_programs)
         << "lazy borrowing should keep live workspaces below the program "
            "count";
-    const auto phi2 = solver.sweep(q);
-    const auto phi3 = solver.sweep(q);
+    const auto phi2 = session.sweep(q);
+    const auto phi3 = session.sweep(q);
     // Steady state: later sweeps mostly reuse (scheduling may widen the
     // frontier slightly, so allow creations, not growth per program).
-    const auto created = solver.flux_pool().created();
+    const auto created = session.flux_pool().created();
     EXPECT_LT(created, num_programs);
-    EXPECT_GT(solver.flux_pool().reuses(),
-              solver.flux_pool().acquires() / 2)
+    EXPECT_GT(session.flux_pool().reuses(),
+              session.flux_pool().acquires() / 2)
         << "three sweeps over the same programs should mostly recycle";
     // Exact pool invariant: every acquire either reused or created.
-    EXPECT_EQ(solver.flux_pool().acquires(),
-              solver.flux_pool().reuses() + created);
+    EXPECT_EQ(session.flux_pool().acquires(),
+              session.flux_pool().reuses() + created);
     // Recycling must not perturb results: sweeps of the same source are
     // identical, and match the serial reference bitwise.
     EXPECT_EQ(phi1, phi2);
@@ -257,9 +257,8 @@ TEST(FaceFluxPool, RecyclesWorkspacesUnderRealEngine) {
   });
 }
 
-/// Same under the coarsened-graph replay path (workspace reuse across the
-/// engine swap) and the BSP engine.
-TEST(FaceFluxPool, RecyclesUnderCoarsenedAndBspEngines) {
+/// Same under the BSP engine.
+TEST(FaceFluxPool, RecyclesUnderBspEngine) {
   const mesh::StructuredMesh m({8, 8, 8}, {1, 1, 1});
   sn::CellXs xs;
   const auto n = static_cast<std::size_t>(m.num_cells());
@@ -276,27 +275,15 @@ TEST(FaceFluxPool, RecyclesUnderCoarsenedAndBspEngines) {
   const auto serial = sn::serial_sweep(disc, quad, q);
 
   comm::Cluster::run(1, [&](comm::Context& ctx) {
-    SolverConfig config;
-    config.num_workers = 2;
-    config.use_coarsened_graph = true;
-    SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-    const auto phi1 = solver.sweep(q);  // records + switches to coarsened
-    const auto phi2 = solver.sweep(q);  // replays on the coarsened graph
-    EXPECT_EQ(phi1, serial);
-    EXPECT_EQ(phi2, serial);
-    EXPECT_GT(solver.flux_pool().reuses(), 0);
-  });
-
-  comm::Cluster::run(1, [&](comm::Context& ctx) {
-    SolverConfig config;
-    config.num_workers = 2;
+    SolveConfig config;
     config.engine = EngineKind::Bsp;
-    SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-    const auto phi1 = solver.sweep(q);
-    const auto phi2 = solver.sweep(q);
+    SweepSession session(ctx, SweepPlan::build(ctx, m, ps, owner, disc, quad),
+                         config);
+    const auto phi1 = session.sweep(q);
+    const auto phi2 = session.sweep(q);
     EXPECT_EQ(phi1, serial);
     EXPECT_EQ(phi2, serial);
-    EXPECT_GT(solver.flux_pool().reuses(), 0);
+    EXPECT_GT(session.flux_pool().reuses(), 0);
   });
 }
 

@@ -32,7 +32,7 @@
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
 #include "sweep/eigen.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 #ifndef JSWEEP_GOLDEN_DIR
 #error "JSWEEP_GOLDEN_DIR must point at tests/golden"
@@ -154,8 +154,8 @@ TEST(Golden, KobayashiSerialReference) {
 
 TEST(Golden, QuickstartParallelSolve) {
   // The `quickstart` example verbatim: Kobayashi 16³, 4³-cell patches,
-  // S4, 4 ranks × 2 workers, coarsened replay. The parallel solver is
-  // bitwise deterministic, so this snapshot also guards the engine path.
+  // S4, 4 ranks × 2 workers, grain 32. The parallel solve is bitwise
+  // deterministic, so this snapshot also guards the engine path.
   const mesh::StructuredMesh m = mesh::make_kobayashi_mesh(16);
   const partition::StructuredBlockLayout layout(m.dims(), {4, 4, 4});
   const partition::CsrGraph cg = partition::cell_graph(m);
@@ -168,15 +168,19 @@ TEST(Golden, QuickstartParallelSolve) {
 
   sn::SourceIterationResult result;
   comm::Cluster::run(4, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.num_workers = 2;
-    config.cluster_grain = 32;
-    config.use_coarsened_graph = true;
     const auto owner =
         partition::assign_contiguous(patches.num_patches(), ctx.size());
-    sweep::SweepSolver solver(ctx, m, patches, owner, disc, quad, config);
+    sweep::PlanConfig plan_config;
+    plan_config.cluster_grain = 32;
+    sweep::SolveConfig solve_config;
+    solve_config.num_workers = 2;
+    sweep::SweepSession session(
+        ctx,
+        sweep::SweepPlan::build(ctx, m, patches, owner, disc, quad,
+                                plan_config),
+        solve_config);
     const auto r =
-        sn::source_iteration(xs, solver.as_operator(), {1e-6, 100, false});
+        sn::source_iteration(xs, session.as_operator(), {1e-6, 100, false});
     if (ctx.rank().value() == 0) result = r;
   });
   ASSERT_TRUE(result.converged);

@@ -1,12 +1,11 @@
-// Tests for the digraph utilities, sweep-DAG construction, priority
-// strategies and graph coarsening (Theorem 1).
+// Tests for the digraph utilities, sweep-DAG construction and priority
+// strategies.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
-#include "graph/coarsen.hpp"
 #include "graph/digraph.hpp"
 #include "graph/priority.hpp"
 #include "graph/scc.hpp"
@@ -237,71 +236,6 @@ TEST(SweepDag, PatchDigraphMatchesTaskGraphs) {
     return edges;
   };
   EXPECT_EQ(edges_of(from_graphs), edges_of(from_mesh));
-}
-
-// ---------------------------------------------------------------------------
-// Coarsening (Theorem 1)
-// ---------------------------------------------------------------------------
-
-/// Random DAG with vertices labelled in topological order.
-Digraph random_dag(Rng& rng, std::int32_t n, double edge_prob) {
-  std::vector<Edge> edges;
-  for (std::int32_t u = 0; u < n; ++u)
-    for (std::int32_t v = u + 1; v < n; ++v)
-      if (rng.chance(edge_prob)) edges.push_back({u, v});
-  return Digraph(n, edges);
-}
-
-/// Cluster assignment consistent with execution order: cut the topological
-/// id space into random runs.
-std::vector<std::int32_t> random_clustering(Rng& rng, std::int32_t n,
-                                            std::int32_t& num_clusters) {
-  std::vector<std::int32_t> cluster(static_cast<std::size_t>(n));
-  std::int32_t current = 0;
-  for (std::int32_t v = 0; v < n; ++v) {
-    cluster[static_cast<std::size_t>(v)] = current;
-    if (rng.chance(0.3)) ++current;
-  }
-  num_clusters = current + 1;
-  return cluster;
-}
-
-TEST(Coarsen, Theorem1CoarsenedGraphAcyclic) {
-  Rng rng(2024);
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto n = static_cast<std::int32_t>(10 + rng.below(40));
-    const Digraph fine = random_dag(rng, n, 0.15);
-    std::int32_t num_clusters = 0;
-    const auto cluster = random_clustering(rng, n, num_clusters);
-    const CoarsenedGraph cg = coarsen(fine, cluster, num_clusters);
-    EXPECT_TRUE(cg.coarse.is_acyclic()) << "trial " << trial;
-  }
-}
-
-TEST(Coarsen, MembersPartitionVertices) {
-  Rng rng(7);
-  const Digraph fine = random_dag(rng, 30, 0.2);
-  std::int32_t num_clusters = 0;
-  const auto cluster = random_clustering(rng, 30, num_clusters);
-  const CoarsenedGraph cg = coarsen(fine, cluster, num_clusters);
-  std::int64_t total = 0;
-  for (const auto& m : cg.members) total += static_cast<std::int64_t>(m.size());
-  EXPECT_EQ(total, 30);
-}
-
-TEST(Coarsen, EdgePropertiesAggregateFineEdges) {
-  // 0,1 -> cluster 0; 2,3 -> cluster 1; edges 0→2, 1→2, 1→3, 0→1 (internal).
-  const Digraph fine(4, {{0, 2}, {1, 2}, {1, 3}, {0, 1}});
-  const CoarsenedGraph cg = coarsen(fine, {0, 0, 1, 1}, 2);
-  ASSERT_EQ(cg.coarse_edges.size(), 1u);
-  EXPECT_EQ(cg.coarse_edges[0], (Edge{0, 1}));
-  EXPECT_EQ(cg.edge_members[0].size(), 3u);  // internal 0→1 absorbed
-  EXPECT_EQ(cg.coarse.num_edges(), 1);
-}
-
-TEST(Coarsen, RejectsBackwardClustering) {
-  const Digraph fine(2, {{0, 1}});
-  EXPECT_THROW(coarsen(fine, {1, 0}, 2), CheckError);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // Cross-module property and stress tests: random jagged partitions,
-// recorded-cluster coarsening (Theorem 1 on real executions), solver
-// variants, and comm-layer stress.
+// solver variants, and comm-layer stress.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +7,6 @@
 #include <set>
 
 #include "comm/cluster.hpp"
-#include "graph/coarsen.hpp"
 #include "mesh/generators.hpp"
 #include "mesh/refine.hpp"
 #include "partition/adjacency.hpp"
@@ -19,7 +17,7 @@
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
 #include "support/rng.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 namespace jsweep {
 namespace {
@@ -58,13 +56,13 @@ TEST(RandomPartitionSweep, JaggedPatchesMatchSerial) {
                                  &cg);
     std::vector<double> phi;
     comm::Cluster::run(2, [&](comm::Context& ctx) {
-      sweep::SolverConfig config;
-      config.num_workers = 2;
+      sweep::PlanConfig config;
       config.cluster_grain = 4;
       const auto owner =
           partition::assign_contiguous(ps.num_patches(), ctx.size());
-      sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-      const auto result = solver.sweep(q);
+      sweep::SweepSession session(
+          ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, config));
+      const auto result = session.sweep(q);
       if (ctx.rank().value() == 0) phi = result;
     });
     ASSERT_EQ(phi.size(), serial.size());
@@ -89,71 +87,14 @@ TEST(RandomPartitionSweep, ManyExecutionsPerProgram) {
   const partition::CsrGraph cg = partition::cell_graph(m);
   const partition::PatchSet ps(random_partition(m.num_cells(), 4, 3), 4, &cg);
   comm::Cluster::run(1, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.num_workers = 2;
+    sweep::PlanConfig config;
     config.cluster_grain = 1000000;  // unbounded batches
     const auto owner = partition::assign_contiguous(4, 1);
-    sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-    (void)solver.sweep(q);
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, config));
+    (void)session.sweep(q);
     // 4 patches × 8 angles programs, but far more executions.
-    EXPECT_GT(solver.stats().engine.executions, 4 * 8 * 3);
-  });
-}
-
-TEST(RecordedCoarsening, Theorem1OnRealExecution) {
-  // Record clusters from an actual parallel execution and check the
-  // coarsened graph of every program is acyclic (Theorem 1 with real,
-  // scheduler-dependent clusterings rather than synthetic ones).
-  const mesh::TetMesh m = mesh::make_ball_mesh(6, 3.0);
-  const partition::CsrGraph cg = partition::cell_graph(m);
-  const auto part = partition::partition_graph(cg, 4);
-  const partition::PatchSet ps(part, 4, &cg);
-  const sn::CellXs xs =
-      expand(sn::MaterialTable::ball(), m.materials(), m.num_cells());
-  const sn::TetStep disc(m, xs);
-  const sn::Quadrature quad = sn::Quadrature::level_symmetric(2);
-  const std::vector<double> q(static_cast<std::size_t>(m.num_cells()), 0.5);
-
-  comm::Cluster::run(1, [&](comm::Context& ctx) {
-    // Build the solver pieces manually to reach the recorded programs.
-    sweep::SweepShared shared;
-    shared.disc = &disc;
-    shared.patches = &ps;
-    shared.quad = &quad;
-    shared.q_per_ster = &q;
-
-    core::Engine engine(ctx, {2, core::TerminationMode::KnownWorkload});
-    std::vector<std::unique_ptr<sweep::SweepTaskData>> data;
-    std::vector<sweep::SweepPatchProgram*> programs;
-    for (int a = 0; a < quad.num_angles(); ++a) {
-      for (int p = 0; p < 4; ++p) {
-        data.push_back(std::make_unique<sweep::SweepTaskData>(
-            graph::build_patch_task_graph(m, ps, PatchId{p},
-                                          quad.angle(a).dir, AngleId{a}),
-            graph::PriorityStrategy::SLBD, disc, ps, quad.angle(a)));
-        sweep::SweepProgramOptions opts;
-        opts.cluster_grain = 8;
-        opts.record_clusters = true;
-        auto prog = std::make_unique<sweep::SweepPatchProgram>(
-            *data.back(), shared, opts);
-        programs.push_back(prog.get());
-        engine.add_program(std::move(prog), -a * 100.0 - p, true);
-      }
-    }
-    engine.set_routes(partition::assign_contiguous(4, 1));
-    engine.run();
-
-    int checked = 0;
-    for (const auto* prog : programs) {
-      if (prog->recorded_num_clusters() <= 1) continue;
-      const graph::CoarsenedGraph cgr =
-          graph::coarsen(prog->data().graph().local,
-                         prog->recorded_clusters(),
-                         prog->recorded_num_clusters());
-      EXPECT_TRUE(cgr.coarse.is_acyclic());
-      ++checked;
-    }
-    EXPECT_GT(checked, 4);
+    EXPECT_GT(session.stats().engine.executions, 4 * 8 * 3);
   });
 }
 
@@ -172,12 +113,11 @@ TEST(SolverVariants, RcbPartitionAndSfcOwnersMatchSerial) {
 
   std::vector<double> phi;
   comm::Cluster::run(3, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.num_workers = 2;
     const auto owner = partition::assign_by_sfc(
         patch_centroids(ps, centroids), ctx.size());
-    sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
-    const auto result = solver.sweep(q);
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad));
+    const auto result = session.sweep(q);
     if (ctx.rank().value() == 0) phi = result;
   });
   for (std::size_t c = 0; c < phi.size(); ++c)
@@ -197,13 +137,11 @@ TEST(SolverVariants, RefinedMeshSolveConverges) {
   const sn::Quadrature quad = sn::Quadrature::level_symmetric(2);
 
   comm::Cluster::run(2, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.num_workers = 2;
-    config.use_coarsened_graph = true;
     const auto owner = partition::assign_contiguous(8, ctx.size());
-    sweep::SweepSolver solver(ctx, m, ps, owner, disc, quad, config);
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad));
     const auto result =
-        sn::source_iteration(xs, solver.as_operator(), {1e-5, 100, false});
+        sn::source_iteration(xs, session.as_operator(), {1e-5, 100, false});
     EXPECT_TRUE(result.converged);
   });
 }

@@ -20,7 +20,7 @@
 #include "partition/patch_set.hpp"
 #include "support/alloc_counter.hpp"
 #include "support/check.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 #include "trace/critical_path.hpp"
 #include "trace/trace.hpp"
 
@@ -369,13 +369,14 @@ TEST(CrossCheck, LiveMetricsAgreeWithStatsAndTraceAnalysis) {
   comm::Cluster::run(kRanks, [&](comm::Context& ctx) {
     const auto owner =
         partition::assign_contiguous(patches.num_patches(), ctx.size());
-    sweep::SolverConfig config;
-    config.num_workers = 2;
+    sweep::SolveConfig config;
     config.trace.recorder = &recorder;
     config.metrics.registry = &registry;
-    sweep::SweepSolver solver(ctx, mesh, patches, owner, disc, quad, config);
-    for (int i = 0; i < 3; ++i) solver.sweep(q);
-    stats[static_cast<std::size_t>(ctx.rank().value())] = solver.stats();
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, mesh, patches, owner, disc, quad),
+        config);
+    for (int i = 0; i < 3; ++i) session.sweep(q);
+    stats[static_cast<std::size_t>(ctx.rank().value())] = session.stats();
   });
 
   fold_profile(trace::analyze(recorder), registry);
@@ -453,15 +454,19 @@ TEST(PipelineMetrics, ActivationLatencyAndFillPublished) {
   comm::Cluster::run(2, [&](comm::Context& ctx) {
     const auto owner =
         partition::assign_contiguous(patches.num_patches(), ctx.size());
-    sweep::SolverConfig config;
-    config.num_workers = 2;
-    config.multigroup = &mxs;
-    config.group_pipelining = true;
-    config.metrics.registry = &registry;
-    sweep::SweepSolver solver(ctx, mesh, patches, owner, disc, quad, config);
+    sweep::PlanConfig plan_config;
+    plan_config.multigroup = &mxs;
+    plan_config.group_pipelining = true;
+    sweep::SolveConfig solve_config;
+    solve_config.metrics.registry = &registry;
+    sweep::SweepSession session(
+        ctx,
+        sweep::SweepPlan::build(ctx, mesh, patches, owner, disc, quad,
+                                plan_config),
+        solve_config);
     sn::MultigroupOptions mg;
     mg.inner = {1e-5, 50, false};
-    solver.solve_multigroup(mg);
+    session.solve_multigroup(mg);
   });
 
   const auto snap = registry.snapshot();

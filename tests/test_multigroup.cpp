@@ -12,7 +12,7 @@
 #include "partition/patch_set.hpp"
 #include "sn/multigroup.hpp"
 #include "sn/serial_sweep.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 namespace jsweep::sn {
 namespace {
@@ -174,23 +174,22 @@ TEST(Multigroup, ParallelSweepOperatorMatchesSerial) {
 
   std::vector<std::vector<double>> parallel_phi;
   comm::Cluster::run(2, [&](comm::Context& ctx) {
-    // Per-group discretizations and solvers, built once.
+    // Per-group discretizations and sessions, built once.
     std::vector<std::shared_ptr<StructuredDD>> discs;
-    std::vector<std::shared_ptr<sweep::SweepSolver>> solvers;
+    std::vector<std::shared_ptr<sweep::SweepSession>> sessions;
     const auto owner =
         partition::assign_contiguous(patches.num_patches(), ctx.size());
     for (int g = 0; g < xs.groups(); ++g) {
       discs.push_back(
           std::make_shared<StructuredDD>(p.mesh, xs.group_view(g)));
-      sweep::SolverConfig config;
-      config.num_workers = 2;
-      solvers.push_back(std::make_shared<sweep::SweepSolver>(
-          ctx, p.mesh, patches, owner, *discs.back(), p.quad, config));
+      sessions.push_back(std::make_shared<sweep::SweepSession>(
+          ctx, sweep::SweepPlan::build(ctx, p.mesh, patches, owner,
+                                       *discs.back(), p.quad)));
     }
     const auto result = solve_multigroup(
         xs,
         [&](int g) -> SweepOperator {
-          return solvers[static_cast<std::size_t>(g)]->as_operator();
+          return sessions[static_cast<std::size_t>(g)]->as_operator();
         },
         opts);
     if (ctx.rank().value() == 0) parallel_phi = result.phi;
@@ -403,25 +402,27 @@ struct ParallelProblem {
   partition::PatchSet patches;
 };
 
-/// Run solve_multigroup on the parallel solver and return rank 0's φ.
+/// Run solve_multigroup on a parallel session and return rank 0's φ.
 std::vector<std::vector<double>> parallel_multigroup(
     ParallelProblem& p, const MultigroupXs& xs, const MultigroupOptions& opts,
     bool pipelined, sweep::EngineKind engine = sweep::EngineKind::DataDriven,
-    bool coarsened = false, int ranks = 2) {
+    int ranks = 2) {
   std::vector<std::vector<double>> phi;
   const StructuredDD disc(p.mesh, xs.group_view(0));
   comm::Cluster::run(ranks, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.engine = engine;
-    config.num_workers = 2;
-    config.multigroup = &xs;
-    config.group_pipelining = pipelined;
-    config.use_coarsened_graph = coarsened;
+    sweep::PlanConfig plan_config;
+    plan_config.multigroup = &xs;
+    plan_config.group_pipelining = pipelined;
+    sweep::SolveConfig solve_config;
+    solve_config.engine = engine;
     const auto owner =
         partition::assign_contiguous(p.patches.num_patches(), ctx.size());
-    sweep::SweepSolver solver(ctx, p.mesh, p.patches, owner, disc, p.quad,
-                              config);
-    const auto result = solver.solve_multigroup(opts);
+    sweep::SweepSession session(
+        ctx,
+        sweep::SweepPlan::build(ctx, p.mesh, p.patches, owner, disc, p.quad,
+                                plan_config),
+        solve_config);
+    const auto result = session.solve_multigroup(opts);
     EXPECT_TRUE(result.converged);
     if (ctx.rank().value() == 0) phi = result.phi;
   });
@@ -485,14 +486,13 @@ TEST(MultigroupPipelined, OneGroupBitwiseEqualsSingleGroupSolver) {
   std::vector<double> single;
   const StructuredDD disc(p.mesh, one);
   comm::Cluster::run(2, [&](comm::Context& ctx) {
-    sweep::SolverConfig config;
-    config.num_workers = 2;
     const auto owner =
         partition::assign_contiguous(p.patches.num_patches(), ctx.size());
-    sweep::SweepSolver solver(ctx, p.mesh, p.patches, owner, disc, p.quad,
-                              config);
+    sweep::SweepSession session(
+        ctx, sweep::SweepPlan::build(ctx, p.mesh, p.patches, owner, disc,
+                                     p.quad));
     const auto result =
-        source_iteration(one, solver.as_operator(), {1e-7, 200, false});
+        source_iteration(one, session.as_operator(), {1e-7, 200, false});
     EXPECT_TRUE(result.converged);
     if (ctx.rank().value() == 0) single = result.phi;
   });
@@ -503,7 +503,7 @@ TEST(MultigroupPipelined, OneGroupBitwiseEqualsSingleGroupSolver) {
     ASSERT_EQ(multi[0][c], single[c]) << "cell " << c;
 }
 
-TEST(MultigroupPipelined, BspAndCoarsenedMatchDataDriven) {
+TEST(MultigroupPipelined, BspMatchesDataDriven) {
   ParallelProblem p;
   const MultigroupXs xs = MultigroupXs::cascade(
       MaterialTable({{0.8, 0.4, 1.5}}), {}, p.mesh.num_cells(), 2, 0.55);
@@ -513,15 +513,10 @@ TEST(MultigroupPipelined, BspAndCoarsenedMatchDataDriven) {
   const auto dd = parallel_multigroup(p, xs, opts, true);
   const auto bsp =
       parallel_multigroup(p, xs, opts, true, sweep::EngineKind::Bsp);
-  const auto coarse = parallel_multigroup(
-      p, xs, opts, true, sweep::EngineKind::DataDriven, /*coarsened=*/true);
   for (std::size_t g = 0; g < dd.size(); ++g)
-    for (std::size_t c = 0; c < dd[g].size(); ++c) {
+    for (std::size_t c = 0; c < dd[g].size(); ++c)
       ASSERT_NEAR(bsp[g][c], dd[g][c], 1e-12 * (1.0 + dd[g][c]))
           << "bsp group " << g << " cell " << c;
-      ASSERT_NEAR(coarse[g][c], dd[g][c], 1e-12 * (1.0 + dd[g][c]))
-          << "coarsened group " << g << " cell " << c;
-    }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Plan/session lifecycle tests (ctest label `sweep`): the two-phase API
-// must be a pure refactor of the one-shot solver. (a) Sessions sharing one
-// immutable SweepPlan produce bit-identical fluxes to a fresh SweepSolver
-// on structured-Kobayashi and twisted-cyclic meshes; (b) a plan built once
-// and solved many times performs no task-graph construction or face-slot
-// interning after the build (SweepTaskData creation counter + the global
+// Plan/session lifecycle tests (ctest label `sweep`). (a) Sessions sharing
+// one immutable SweepPlan produce bit-identical fluxes to a session over a
+// privately built plan on structured-Kobayashi and twisted-cyclic meshes;
+// (b) a plan built once and solved many times performs no task-graph
+// construction or face-slot interning after the build (SweepTaskData creation counter + the global
 // operator-new gate, as in test_flux_workspace); (c) threads solving
 // concurrently against one shared plan match the serial result to 1e-12;
 // (d) SweepService-batched solves reproduce standalone source iteration
@@ -32,7 +31,6 @@
 #include "support/alloc_counter.hpp"
 #include "support/check.hpp"
 #include "sweep/service.hpp"
-#include "sweep/solver.hpp"
 
 namespace jsweep {
 namespace {
@@ -89,7 +87,7 @@ struct CyclicCase {
 };
 
 // ---------------------------------------------------------------------------
-// (a) Shared-plan sessions are bitwise identical to the legacy facade.
+// (a) Shared-plan sessions are bitwise identical to a private-plan one.
 // ---------------------------------------------------------------------------
 
 TEST(PlanSharing, TwoSessionsMatchFreshSolverStructured) {
@@ -98,12 +96,13 @@ TEST(PlanSharing, TwoSessionsMatchFreshSolverStructured) {
   constexpr int kSweeps = 3;
 
   comm::Cluster::run(1, [&](comm::Context& ctx) {
-    sweep::SolverConfig legacy_config;
-    legacy_config.num_workers = 2;
-    sweep::SweepSolver solver(ctx, tc.m, tc.ps, tc.owner, tc.disc, tc.quad,
-                              legacy_config);
     std::vector<std::vector<double>> reference;
-    for (int k = 0; k < kSweeps; ++k) reference.push_back(solver.sweep(q));
+    {
+      sweep::SweepSession fresh(
+          ctx, sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner, tc.disc,
+                                       tc.quad));
+      for (int k = 0; k < kSweeps; ++k) reference.push_back(fresh.sweep(q));
+    }
 
     const auto plan = sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
                                               tc.disc, tc.quad);
@@ -127,21 +126,21 @@ TEST(PlanSharing, TwoSessionsMatchFreshSolverTwistedCyclic) {
   constexpr int kSweeps = 3;  // lag state evolves sweep to sweep
 
   comm::Cluster::run(1, [&](comm::Context& ctx) {
-    sweep::SolverConfig legacy_config;
-    legacy_config.num_workers = 2;
-    legacy_config.cycle_policy = sweep::CyclePolicy::Lag;
-    sweep::SweepSolver solver(ctx, tc.m, tc.ps, tc.owner, tc.disc, tc.quad,
-                              legacy_config);
-    std::vector<std::vector<double>> reference;
-    for (int k = 0; k < kSweeps; ++k) reference.push_back(solver.sweep(q));
-
     sweep::PlanConfig pc;
     pc.cycle_policy = sweep::CyclePolicy::Lag;
+    std::vector<std::vector<double>> reference;
+    {
+      sweep::SweepSession fresh(
+          ctx, sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner, tc.disc,
+                                       tc.quad, pc));
+      for (int k = 0; k < kSweeps; ++k) reference.push_back(fresh.sweep(q));
+    }
+
     const auto plan = sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
                                               tc.disc, tc.quad, pc);
     ASSERT_TRUE(plan->has_cycles());
     // Each session copies the plan's zeroed lagged template, so both start
-    // from the vacuum iterate and must track the fresh solver sweep by
+    // from the vacuum iterate and must track the fresh session sweep by
     // sweep even as their (independent) lagged stores evolve.
     sweep::SweepSession s1(ctx, plan);
     sweep::SweepSession s2(ctx, plan);

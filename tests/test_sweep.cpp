@@ -1,5 +1,5 @@
 // Integration tests for the parallel sweep component: the data-driven
-// engine, the BSP baseline, the coarsened graph and KBA must all reproduce
+// engine, the BSP baseline and KBA must all reproduce
 // the serial reference exactly, under every configuration.
 
 #include <gtest/gtest.h>
@@ -16,7 +16,7 @@
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
 #include "sweep/kba.hpp"
-#include "sweep/solver.hpp"
+#include "sweep/session.hpp"
 
 namespace jsweep::sweep {
 namespace {
@@ -141,15 +141,18 @@ struct BallCase {
 
 template <class Case>
 std::vector<double> run_parallel(const Case& cs, int ranks,
-                                 SolverConfig config) {
+                                 const PlanConfig& plan_config = {},
+                                 const SolveConfig& solve_config = {}) {
   std::vector<double> result;
   std::mutex result_mutex;
   comm::Cluster::run(ranks, [&](comm::Context& ctx) {
     const auto owner = partition::assign_contiguous(
         cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       config);
-    const auto phi = solver.sweep(cs.q);
+    SweepSession session(ctx,
+                         SweepPlan::build(ctx, cs.mesh, cs.patches, owner,
+                                          cs.disc, cs.quad, plan_config),
+                         solve_config);
+    const auto phi = session.sweep(cs.q);
     if (ctx.rank().value() == 0) {
       const std::lock_guard<std::mutex> lock(result_mutex);
       result = phi;
@@ -173,38 +176,38 @@ void expect_equal(const std::vector<double>& a, const std::vector<double>& b,
 
 TEST(SweepStructured, MatchesSerialSingleRank) {
   const StructuredCase cs;
-  expect_equal(run_parallel(cs, 1, {}), cs.serial());
+  expect_equal(run_parallel(cs, 1), cs.serial());
 }
 
 TEST(SweepStructured, MatchesSerialMultiRank) {
   const StructuredCase cs;
-  SolverConfig cfg;
+  SolveConfig cfg;
   cfg.num_workers = 3;
-  expect_equal(run_parallel(cs, 4, cfg), cs.serial());
+  expect_equal(run_parallel(cs, 4, {}, cfg), cs.serial());
 }
 
 TEST(SweepBall, MatchesSerialSingleRank) {
   const BallCase cs;
-  expect_equal(run_parallel(cs, 1, {}), cs.serial());
+  expect_equal(run_parallel(cs, 1), cs.serial());
 }
 
 TEST(SweepBall, MatchesSerialMultiRank) {
   const BallCase cs;
-  SolverConfig cfg;
+  SolveConfig cfg;
   cfg.num_workers = 2;
-  expect_equal(run_parallel(cs, 3, cfg), cs.serial());
+  expect_equal(run_parallel(cs, 3, {}, cfg), cs.serial());
 }
 
 // The result must be bitwise identical whatever the parallel configuration:
 // the DAG fixes every operand and the reduction order is fixed.
 TEST(SweepDeterminism, BitwiseIdenticalAcrossConfigurations) {
   const BallCase cs;
-  const auto base = run_parallel(cs, 1, {});
+  const auto base = run_parallel(cs, 1);
   for (const int ranks : {2, 4}) {
     for (const int workers : {1, 3}) {
-      SolverConfig cfg;
+      SolveConfig cfg;
       cfg.num_workers = workers;
-      const auto phi = run_parallel(cs, ranks, cfg);
+      const auto phi = run_parallel(cs, ranks, {}, cfg);
       ASSERT_EQ(phi.size(), base.size());
       for (std::size_t i = 0; i < phi.size(); ++i)
         ASSERT_EQ(phi[i], base[i])
@@ -224,7 +227,7 @@ class SweepPriorities : public ::testing::TestWithParam<PriorityPair> {};
 
 TEST_P(SweepPriorities, AllStrategiesMatchSerial) {
   const StructuredCase cs;
-  SolverConfig cfg;
+  PlanConfig cfg;
   cfg.patch_priority = GetParam().first;
   cfg.vertex_priority = GetParam().second;
   expect_equal(run_parallel(cs, 2, cfg), cs.serial());
@@ -250,7 +253,7 @@ class SweepGrain : public ::testing::TestWithParam<int> {};
 
 TEST_P(SweepGrain, AllClusterGrainsMatchSerial) {
   const BallCase cs;
-  SolverConfig cfg;
+  PlanConfig cfg;
   cfg.cluster_grain = GetParam();
   expect_equal(run_parallel(cs, 2, cfg), cs.serial());
 }
@@ -260,10 +263,11 @@ INSTANTIATE_TEST_SUITE_P(Grains, SweepGrain,
 
 TEST(SweepAblation, PatchSerializedStillCorrect) {
   const StructuredCase cs;
-  SolverConfig cfg;
-  cfg.patch_angle_parallelism = false;
-  cfg.num_workers = 3;
-  expect_equal(run_parallel(cs, 2, cfg), cs.serial());
+  PlanConfig plan_config;
+  plan_config.patch_angle_parallelism = false;
+  SolveConfig solve_config;
+  solve_config.num_workers = 3;
+  expect_equal(run_parallel(cs, 2, plan_config, solve_config), cs.serial());
 }
 
 // ---------------------------------------------------------------------------
@@ -272,17 +276,17 @@ TEST(SweepAblation, PatchSerializedStillCorrect) {
 
 TEST(SweepBsp, MatchesSerial) {
   const StructuredCase cs;
-  SolverConfig cfg;
+  SolveConfig cfg;
   cfg.engine = EngineKind::Bsp;
-  expect_equal(run_parallel(cs, 2, cfg), cs.serial());
+  expect_equal(run_parallel(cs, 2, {}, cfg), cs.serial());
 }
 
 TEST(SweepBsp, BallMatchesSerial) {
   const BallCase cs;
-  SolverConfig cfg;
+  SolveConfig cfg;
   cfg.engine = EngineKind::Bsp;
   cfg.num_workers = 2;
-  expect_equal(run_parallel(cs, 2, cfg), cs.serial());
+  expect_equal(run_parallel(cs, 2, {}, cfg), cs.serial());
 }
 
 TEST(SweepBsp, DataDrivenUsesFewerGlobalSyncs) {
@@ -291,66 +295,19 @@ TEST(SweepBsp, DataDrivenUsesFewerGlobalSyncs) {
   const StructuredCase cs;
   std::atomic<std::int64_t> supersteps{0};
   comm::Cluster::run(2, [&](comm::Context& ctx) {
-    SolverConfig cfg;
+    SolveConfig cfg;
     cfg.engine = EngineKind::Bsp;
     const auto owner =
         partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       cfg);
-    (void)solver.sweep(cs.q);
+    SweepSession session(ctx,
+                         SweepPlan::build(ctx, cs.mesh, cs.patches, owner,
+                                          cs.disc, cs.quad),
+                         cfg);
+    (void)session.sweep(cs.q);
     if (ctx.rank().value() == 0)
-      supersteps.store(solver.stats().bsp.supersteps);
+      supersteps.store(session.stats().bsp.supersteps);
   });
   EXPECT_GT(supersteps.load(), 3);
-}
-
-// ---------------------------------------------------------------------------
-// Coarsened graph
-// ---------------------------------------------------------------------------
-
-TEST(SweepCoarsened, SecondSweepMatchesFirst) {
-  const BallCase cs;
-  std::vector<double> first;
-  std::vector<double> second;
-  std::vector<double> third;
-  comm::Cluster::run(2, [&](comm::Context& ctx) {
-    SolverConfig cfg;
-    cfg.use_coarsened_graph = true;
-    cfg.num_workers = 2;
-    const auto owner =
-        partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       cfg);
-    const auto phi1 = solver.sweep(cs.q);  // DAG sweep, records clusters
-    const auto phi2 = solver.sweep(cs.q);  // coarsened replay
-    const auto phi3 = solver.sweep(cs.q);  // reusable across iterations
-    if (ctx.rank().value() == 0) {
-      first = phi1;
-      second = phi2;
-      third = phi3;
-    }
-  });
-  expect_equal(second, first, 1e-15);
-  expect_equal(third, first, 1e-15);
-  expect_equal(first, cs.serial());
-}
-
-TEST(SweepCoarsened, StructuredMatchesSerial) {
-  const StructuredCase cs;
-  std::vector<double> coarse_phi;
-  comm::Cluster::run(2, [&](comm::Context& ctx) {
-    SolverConfig cfg;
-    cfg.use_coarsened_graph = true;
-    cfg.cluster_grain = 4;
-    const auto owner =
-        partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       cfg);
-    (void)solver.sweep(cs.q);
-    const auto phi = solver.sweep(cs.q);
-    if (ctx.rank().value() == 0) coarse_phi = phi;
-  });
-  expect_equal(coarse_phi, cs.serial());
 }
 
 // ---------------------------------------------------------------------------
@@ -395,14 +352,12 @@ TEST(SweepSourceIteration, ParallelSolveMatchesSerialSolve) {
   std::vector<double> parallel_phi;
   int parallel_iters = 0;
   comm::Cluster::run(3, [&](comm::Context& ctx) {
-    SolverConfig cfg;
-    cfg.use_coarsened_graph = true;  // iterations 2+ on CG
     const auto owner =
         partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       cfg);
+    SweepSession session(ctx, SweepPlan::build(ctx, cs.mesh, cs.patches,
+                                               owner, cs.disc, cs.quad));
     const auto result =
-        sn::source_iteration(cs.xs, solver.as_operator(), {1e-7, 100, false});
+        sn::source_iteration(cs.xs, session.as_operator(), {1e-7, 100, false});
     EXPECT_TRUE(result.converged);
     if (ctx.rank().value() == 0) {
       parallel_phi = result.phi;
@@ -416,14 +371,14 @@ TEST(SweepSourceIteration, ParallelSolveMatchesSerialSolve) {
 TEST(SweepStats, EngineCountsLookSane) {
   const StructuredCase cs;
   comm::Cluster::run(2, [&](comm::Context& ctx) {
-    SolverConfig cfg;
+    PlanConfig cfg;
     cfg.cluster_grain = 4;
     const auto owner =
         partition::assign_contiguous(cs.patches.num_patches(), ctx.size());
-    SweepSolver solver(ctx, cs.mesh, cs.patches, owner, cs.disc, cs.quad,
-                       cfg);
-    (void)solver.sweep(cs.q);
-    const auto& st = solver.stats().engine;
+    SweepSession session(ctx, SweepPlan::build(ctx, cs.mesh, cs.patches,
+                                               owner, cs.disc, cs.quad, cfg));
+    (void)session.sweep(cs.q);
+    const auto& st = session.stats().engine;
     // 8 angles × 32 local patches, at least one execution each.
     EXPECT_GE(st.executions, 8 * 32);
     EXPECT_GT(st.streams_remote + st.streams_local, 0);
