@@ -9,6 +9,7 @@
 */
 // Run with --help for the full flag list.
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -142,6 +143,26 @@ void usage() {
   --profile                       print critical-path + busy/idle breakdown
   --help                          this text
 )");
+}
+
+/// `--profile`: where rank 0's plan build went, stage by stage, and the
+/// task data it keeps (SweepPlan::build_stats()).
+void print_plan_stages(const sweep::SweepPlan& plan) {
+  const sweep::PlanBuildStats& st = plan.build_stats();
+  std::int64_t cell_angles = 0;  // of this rank's patches
+  for (const PatchId p : plan.local_patches())
+    cell_angles += static_cast<std::int64_t>(plan.patches().cells(p).size()) *
+                   plan.num_angles();
+  std::printf("plan build: %.4fs\n", plan.build_seconds());
+  std::printf("  plan stage cycle_cut    %.4fs\n", st.cycle_cut_seconds);
+  std::printf("  plan stage patch_graph  %.4fs\n", st.patch_graph_seconds);
+  std::printf("  plan stage task_graphs  %.4fs\n", st.task_graph_seconds);
+  std::printf("  plan stage task_data    %.4fs (interning, priorities)\n",
+              st.task_data_seconds);
+  std::printf("  plan task_data_bytes    %lld (%.1f B per cell-angle)\n",
+              static_cast<long long>(st.task_data_bytes),
+              static_cast<double>(st.task_data_bytes) /
+                  static_cast<double>(std::max<std::int64_t>(cell_angles, 1)));
 }
 
 /// Strict integer flag parsing: the whole value must be a base-10 integer
@@ -506,6 +527,7 @@ int solve_multigroup(const Options& opt, const Mesh& mesh, const Disc& disc,
 
   sn::MultigroupResult result;
   sweep::SolveStats solver_stats;
+  std::shared_ptr<const sweep::SweepPlan> rank0_plan;  // for --profile
   WallTimer timer;
   if (opt.engine == "serial") {
     result = sn::solve_multigroup_sweeps(
@@ -571,6 +593,7 @@ int solve_multigroup(const Options& opt, const Mesh& mesh, const Disc& disc,
       if (ctx.rank().value() == 0) {
         result = r;
         solver_stats = session.stats();
+        rank0_plan = plan;
       }
     });
   }
@@ -601,6 +624,7 @@ int solve_multigroup(const Options& opt, const Mesh& mesh, const Disc& disc,
     if (opt.profile) {
       const trace::ProfileReport prof = trace::analyze(*recorder);
       std::printf("\n%s\n", trace::render_profile(prof).c_str());
+      if (rank0_plan) print_plan_stages(*rank0_plan);
     }
   }
   if (registry) {
@@ -669,6 +693,7 @@ int solve(const Options& opt, const Mesh& mesh, const Disc& disc,
 
   sn::SourceIterationResult result;
   sweep::SolveStats solver_stats;
+  std::shared_ptr<const sweep::SweepPlan> rank0_plan;  // for --profile
   WallTimer timer;
   if (opt.engine == "serial") {
     if (opt.lag_sweeps > 1)
@@ -760,6 +785,7 @@ int solve(const Options& opt, const Mesh& mesh, const Disc& disc,
       if (ctx.rank().value() == 0) {
         result = r;
         solver_stats = session.stats();
+        rank0_plan = plan;
       }
     });
   }
@@ -791,6 +817,7 @@ int solve(const Options& opt, const Mesh& mesh, const Disc& disc,
     if (opt.profile) {
       const trace::ProfileReport prof = trace::analyze(*recorder);
       std::printf("\n%s\n", trace::render_profile(prof).c_str());
+      if (rank0_plan) print_plan_stages(*rank0_plan);
     }
   }
   if (registry) {

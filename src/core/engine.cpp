@@ -1,10 +1,11 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdlib>
-#include <queue>
 #include <thread>
 
 #include "metrics/metrics.hpp"
@@ -33,12 +34,22 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Environment override for an integer-valued engine knob; returns
-/// `fallback` when the variable is unset or empty.
-int env_int(const char* name, int fallback) {
+/// Environment override for an integer-valued engine knob in [lo, hi];
+/// returns `fallback` when the variable is unset or empty. Anything other
+/// than a whole decimal integer in range (no trailing characters) throws
+/// a CheckError naming the variable, instead of silently reading as 0.
+int env_int(const char* name, int fallback, long lo, long hi) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
-  return std::atoi(v);
+  errno = 0;
+  char* end = nullptr;
+  const long parsed = std::strtol(v, &end, 10);
+  JSWEEP_CHECK_MSG(end != v && *end == '\0' && errno != ERANGE &&
+                       parsed >= lo && parsed <= hi,
+                   "environment variable " << name << "='" << v
+                                           << "' must be an integer in ["
+                                           << lo << ", " << hi << "]");
+  return static_cast<int>(parsed);
 }
 
 }  // namespace
@@ -57,13 +68,20 @@ struct Engine::ProgramState {
   enum class St { Idle, Active } state = St::Idle;
   std::mutex inbox_mutex;
   std::vector<Stream> inbox;
+  /// The executing worker swaps `inbox` with this spare under the lock and
+  /// drains it outside; both keep their capacity, so steady-state input
+  /// hand-off allocates nothing.
+  std::vector<Stream> arrived;
+  /// Streams of the last execution, filled by the worker and drained by
+  /// the master when it processes the completion (the program cannot run
+  /// again before that), reused run after run.
+  std::vector<Stream> outputs;
 };
 
 struct Engine::Completion {
   ProgramState* ps = nullptr;
   bool halted = true;
   std::int64_t retired = 0;
-  std::vector<Stream> outputs;
 };
 
 struct Engine::Worker {
@@ -80,10 +98,35 @@ struct Engine::Worker {
     }
   };
 
+  /// Max-heap of entries (std::push_heap/pop_heap on Entry::operator<,
+  /// the std::priority_queue discipline) kept as a plain vector so it can
+  /// be cleared without giving back its capacity.
+  [[nodiscard]] const Entry& top() const { return queue.front(); }
+  void push(const Entry& e) {
+    queue.push_back(e);
+    std::push_heap(queue.begin(), queue.end());
+  }
+  void pop() {
+    std::pop_heap(queue.begin(), queue.end());
+    queue.pop_back();
+  }
+
+  /// Per-run reset: the object (and its queue capacity) outlives runs.
+  void reset(std::uint64_t seed) {
+    queue.clear();
+    load.store(0, std::memory_order_relaxed);
+    stop.store(false, std::memory_order_relaxed);
+    busy_seconds = 0.0;
+    idle_seconds = 0.0;
+    rng = seed;
+    steal_attempts = 0;
+    steals = 0;
+  }
+
   int id;
   std::mutex mutex;
   std::condition_variable cv;
-  std::priority_queue<Entry> queue;
+  std::vector<Entry> queue;
   std::atomic<std::int64_t> load{0};
   std::atomic<bool> stop{false};
   std::thread thread;
@@ -103,9 +146,11 @@ Engine::Engine(comm::Context& ctx, EngineConfig config)
   // Runtime knobs get the final say, so CI and operators can force a
   // scheduling mode without touching call sites.
   config_.work_stealing =
-      env_int("JSWEEP_WORK_STEALING", config_.work_stealing ? 1 : 0) != 0;
+      env_int("JSWEEP_WORK_STEALING", config_.work_stealing ? 1 : 0, 0, 1) !=
+      0;
   config_.steal_spin_rounds = std::max(
-      0, env_int("JSWEEP_STEAL_SPIN", config_.steal_spin_rounds));
+      0,
+      env_int("JSWEEP_STEAL_SPIN", config_.steal_spin_rounds, 0, INT_MAX));
   remote_staging_.resize(static_cast<std::size_t>(ctx_.size()));
   if (metrics::Registry* reg = config_.metrics; reg != nullptr) {
     const metrics::Labels rank{{"rank", std::to_string(ctx_.rank().value())}};
@@ -194,8 +239,8 @@ void Engine::set_program_enabled(const ProgramKey& key, bool enabled) {
 }
 
 Engine::ProgramState* Engine::take_local(Worker& w) {
-  ProgramState* ps = w.queue.top().ps;
-  w.queue.pop();
+  ProgramState* ps = w.top().ps;
+  w.pop();
   queued_total_.fetch_sub(1, std::memory_order_acq_rel);
   return ps;
 }
@@ -220,7 +265,7 @@ Engine::ProgramState* Engine::try_steal(Worker& w) {
     Worker& victim = *workers_[v];
     if (!victim.mutex.try_lock()) continue;
     if (!victim.queue.empty()) {
-      const Worker::Entry& top = victim.queue.top();
+      const Worker::Entry& top = victim.top();
       if (best == n || top.priority > best_priority ||
           (top.priority == best_priority && top.seq < best_seq)) {
         best = v;
@@ -339,7 +384,7 @@ void Engine::worker_loop(Worker& w) {
       }
       {
         const std::lock_guard<std::mutex> lock(completion_mutex_);
-        completions_.push_back(std::move(c));
+        completions_.push_back(c);
       }
       completions_pending_.fetch_add(1, std::memory_order_release);
     } catch (...) {
@@ -356,16 +401,16 @@ Engine::Completion Engine::execute(ProgramState& ps) {
     prog.init();
     ps.initialized = true;
   }
-  std::vector<Stream> arrived;
   {
     const std::lock_guard<std::mutex> lock(ps.inbox_mutex);
-    arrived.swap(ps.inbox);
+    ps.arrived.swap(ps.inbox);
   }
-  for (auto& s : arrived) {
+  for (auto& s : ps.arrived) {
     prog.input(s);
     // Payload consumed; recycle the buffer for a future encode.
     buffer_pool_.release(std::move(s.data));
   }
+  ps.arrived.clear();
 
   const std::int64_t before = prog.remaining_work();
   prog.compute();
@@ -374,10 +419,10 @@ Engine::Completion Engine::execute(ProgramState& ps) {
   Completion c;
   c.ps = &ps;
   c.retired = before - after;
-  while (auto out = prog.output()) c.outputs.push_back(std::move(*out));
+  while (auto out = prog.output()) ps.outputs.push_back(std::move(*out));
   // Stamp the producer's LDCP priority onto every output: receiving
   // masters (remote or local) route higher-priority streams first.
-  for (auto& s : c.outputs) s.priority = ps.priority;
+  for (auto& s : ps.outputs) s.priority = ps.priority;
   c.halted = prog.vote_to_halt();
   return c;
 }
@@ -405,7 +450,7 @@ void Engine::enqueue(ProgramState& ps) {
   if (metric_queue_depth_ != nullptr) metric_queue_depth_->add(1.0);
   {
     const std::lock_guard<std::mutex> lock(lightest->mutex);
-    lightest->queue.push(Worker::Entry{ps.priority, enqueue_seq_++, &ps});
+    lightest->push(Worker::Entry{ps.priority, enqueue_seq_++, &ps});
     queued_total_.fetch_add(1, std::memory_order_release);
   }
   lightest->cv.notify_one();
@@ -440,7 +485,7 @@ void Engine::deliver_local(Stream stream) {
   }
 }
 
-void Engine::route_outputs(std::vector<Stream>&& outputs) {
+void Engine::route_outputs(std::vector<Stream>& outputs) {
   for (auto& s : outputs) {
     JSWEEP_CHECK_MSG(
         s.dst.patch.valid() &&
@@ -472,6 +517,7 @@ void Engine::route_outputs(std::vector<Stream>&& outputs) {
           std::move(s));
     }
   }
+  outputs.clear();  // keeps the capacity for the program's next execution
 }
 
 void Engine::flush_remote() {
@@ -557,38 +603,42 @@ void Engine::run() {
     ps->initialized = false;
     ps->state = ProgramState::St::Idle;
     ps->inbox.clear();
+    ps->arrived.clear();  // left over only by a run that threw mid-input
+    ps->outputs.clear();
     if (ps->enabled) local_remaining_ += ps->program->total_work();
   }
+  completions_.clear();
+  completion_batch_.clear();
+  completions_pending_.store(0, std::memory_order_relaxed);
 
-  // Launch workers. Each gets a private, seed-derived rotation state so
-  // steal-victim orders are reproducible run to run.
-  workers_.clear();
+  // Launch workers. The Worker objects persist across runs (their queues
+  // keep their capacity); each run resets them and hands each a private,
+  // seed-derived rotation state so steal-victim orders are reproducible
+  // run to run.
+  if (workers_.empty())
+    for (int i = 0; i < config_.num_workers; ++i)
+      workers_.push_back(std::make_unique<Worker>(i));
   queued_total_.store(0, std::memory_order_relaxed);
-  for (int i = 0; i < config_.num_workers; ++i) {
-    workers_.push_back(std::make_unique<Worker>(i));
-    workers_.back()->rng =
-        mix64(config_.scheduler_seed ^ (static_cast<std::uint64_t>(i) + 1));
-  }
+  for (std::size_t i = 0; i < workers_.size(); ++i)
+    workers_[i]->reset(
+        mix64(config_.scheduler_seed ^ (static_cast<std::uint64_t>(i) + 1)));
   for (auto& w : workers_)
     w->thread = std::thread([this, &w = *w] { worker_loop(w); });
 
   // Queue the initially-active programs, highest priority first so worker
   // queues start in priority order.
-  {
-    std::vector<ProgramState*> initial;
-    for (auto& [key, ps] : programs_)
-      if (ps->enabled && ps->initially_active) initial.push_back(ps.get());
-    std::sort(initial.begin(), initial.end(),
-              [](const ProgramState* a, const ProgramState* b) {
-                if (a->priority != b->priority)
-                  return a->priority > b->priority;
-                return a->program->key() < b->program->key();
-              });
-    for (auto* ps : initial) {
-      ps->state = ProgramState::St::Active;
-      ++active_programs_;
-      enqueue(*ps);
-    }
+  initial_.clear();
+  for (auto& [key, ps] : programs_)
+    if (ps->enabled && ps->initially_active) initial_.push_back(ps.get());
+  std::sort(initial_.begin(), initial_.end(),
+            [](const ProgramState* a, const ProgramState* b) {
+              if (a->priority != b->priority) return a->priority > b->priority;
+              return a->program->key() < b->program->key();
+            });
+  for (auto* ps : initial_) {
+    ps->state = ProgramState::St::Active;
+    ++active_programs_;
+    enqueue(*ps);
   }
 
   std::optional<comm::SafraDetector> detector;
@@ -612,7 +662,6 @@ void Engine::run() {
       stats_.steal_attempts += w->steal_attempts;
       stats_.steals += w->steals;
     }
-    workers_.clear();
   };
 
   try {
@@ -672,7 +721,9 @@ void Engine::master_loop(comm::SafraDetector* det,
 
     // 2. Worker completions.
     if (completions_pending_.load(std::memory_order_acquire) > 0) {
-      std::vector<Completion> batch;
+      // Ping-pong: the workers' vector and the master's batch trade
+      // places, each keeping its capacity.
+      std::vector<Completion>& batch = completion_batch_;
       {
         const std::lock_guard<std::mutex> lock(completion_mutex_);
         batch.swap(completions_);
@@ -686,9 +737,9 @@ void Engine::master_loop(comm::SafraDetector* det,
       for (auto& c : batch) {
         ++stats_.executions;
         local_remaining_ -= c.retired;
-        if (det != nullptr && !c.outputs.empty()) det->on_active();
-        route_outputs(std::move(c.outputs));
         ProgramState& ps = *c.ps;
+        if (det != nullptr && !ps.outputs.empty()) det->on_active();
+        route_outputs(ps.outputs);
         bool inbox_nonempty;
         {
           const std::lock_guard<std::mutex> lock(ps.inbox_mutex);
@@ -701,6 +752,7 @@ void Engine::master_loop(comm::SafraDetector* det,
           --active_programs_;
         }
       }
+      batch.clear();
       if (mt != nullptr)
         mt->record(trace::make_span(trace::EventKind::Route, route_t0,
                                     rec->now_ns()));

@@ -76,11 +76,13 @@ struct EngineConfig {
   /// Work stealing between this rank's workers: an idle worker scans the
   /// other queues (seeded victim order) for the highest-priority stealable
   /// entry instead of blocking immediately. The environment variable
-  /// JSWEEP_WORK_STEALING=0|1, when set, overrides this at construction.
+  /// JSWEEP_WORK_STEALING=0|1, when set, overrides this at construction;
+  /// any other value throws a CheckError naming the variable.
   bool work_stealing = true;
   /// Bounded spin: empty steal-scan rounds an idle worker burns before it
   /// falls back to a timed block on its condition variable. Overridable
-  /// via the JSWEEP_STEAL_SPIN environment variable.
+  /// via the JSWEEP_STEAL_SPIN environment variable (a non-negative
+  /// integer; anything else throws a CheckError naming the variable).
   int steal_spin_rounds = 64;
   /// Seed for the deterministic scheduling tie-breaks (enqueue-target
   /// rotation and per-worker steal-victim order). Same seed, same inputs
@@ -169,7 +171,8 @@ class Engine {
   ProgramState* try_steal(Worker& w);
   void deliver_local(Stream stream);
   void enqueue(ProgramState& ps);
-  void route_outputs(std::vector<Stream>&& outputs);
+  /// Route (and clear) one execution's outputs.
+  void route_outputs(std::vector<Stream>& outputs);
   void flush_remote();
   void process_message(const comm::Message& msg,
                        comm::SafraDetector* detector);
@@ -201,11 +204,16 @@ class Engine {
 
   std::unordered_map<ProgramKey, std::unique_ptr<ProgramState>> programs_;
   std::vector<RankId> patch_owner_;
+  /// Created by the first run() and reused by every later one (threads
+  /// are started and joined per run; the objects and queues persist).
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<ProgramState*> initial_;  ///< run() scratch, reused
 
-  // Master-side completion queue (workers push, master drains).
+  // Master-side completion queue (workers push, master drains by swapping
+  // in `completion_batch_`, its ping-pong partner).
   std::mutex completion_mutex_;
   std::vector<Completion> completions_;
+  std::vector<Completion> completion_batch_;
   std::atomic<std::int64_t> completions_pending_{0};
 
   // First exception thrown inside a worker; rethrown by the master.

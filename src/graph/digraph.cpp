@@ -12,19 +12,17 @@ Digraph::Digraph(
     const std::vector<std::pair<std::int32_t, std::int32_t>>& edges)
     : n_(num_vertices) {
   JSWEEP_CHECK(num_vertices >= 0);
-  offsets_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  for (const auto& [u, v] : edges) {
-    JSWEEP_CHECK_MSG(u >= 0 && u < n_ && v >= 0 && v < n_,
-                     "edge (" << u << "," << v << ") outside [0," << n_ << ")");
-    ++offsets_[static_cast<std::size_t>(u) + 1];
-  }
-  for (std::size_t i = 1; i < offsets_.size(); ++i)
-    offsets_[i] += offsets_[i - 1];
-  targets_.resize(edges.size());
-  std::vector<std::int64_t> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& [u, v] : edges)
-    targets_[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] =
-        v;
+  build_csr(
+      static_cast<std::size_t>(n_),
+      [&](auto&& emit) {
+        for (const auto& [u, v] : edges) {
+          JSWEEP_CHECK_MSG(u >= 0 && u < n_ && v >= 0 && v < n_,
+                           "edge (" << u << "," << v << ") outside [0," << n_
+                                    << ")");
+          emit(u, v);
+        }
+      },
+      offsets_, targets_);
 }
 
 std::vector<std::int32_t> Digraph::in_degrees() const {
@@ -34,11 +32,18 @@ std::vector<std::int32_t> Digraph::in_degrees() const {
 }
 
 Digraph Digraph::reversed() const {
-  std::vector<std::pair<std::int32_t, std::int32_t>> edges;
-  edges.reserve(targets_.size());
-  for (std::int32_t v = 0; v < n_; ++v)
-    for_out(v, [&](std::int32_t u) { edges.emplace_back(u, v); });
-  return Digraph(n_, edges);
+  // Straight from this CSR, no edge-list copy: each vertex's reversed
+  // neighbors come out ascending, exactly as building from the (u, v) list.
+  Digraph r;
+  r.n_ = n_;
+  build_csr(
+      static_cast<std::size_t>(n_),
+      [&](auto&& emit) {
+        for (std::int32_t v = 0; v < n_; ++v)
+          for_out(v, [&](std::int32_t u) { emit(u, v); });
+      },
+      r.offsets_, r.targets_);
+  return r;
 }
 
 std::optional<std::vector<std::int32_t>> Digraph::topological_order() const {

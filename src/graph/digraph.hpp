@@ -4,12 +4,49 @@
 /// Directed graph in CSR form plus the topological utilities the sweep
 /// scheduler relies on.
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "support/check.hpp"
+
 namespace jsweep::graph {
+
+/// Fill `off` (n + 1 offsets) and `out` with a CSR grouped by source
+/// vertex in [0, n). `for_each_edge(emit)` must call `emit(src, entry)`
+/// once per edge, in the same order on each call; it is called twice
+/// (count, then place), and entries keep that order within each source.
+/// `Offset` is the offset width: int64 for Digraph, int32 for per-task
+/// sweep data (checked to hold the edge count).
+template <class Offset, class Entry, class ForEachEdge>
+void build_csr(std::size_t n, ForEachEdge&& for_each_edge,
+               std::vector<Offset>& off, std::vector<Entry>& out) {
+  off.assign(n + 1, 0);
+  std::size_t m = 0;
+  for_each_edge([&](auto src, const Entry&) {
+    const auto s = static_cast<std::size_t>(src);
+    JSWEEP_CHECK_MSG(s < n, "CSR source " << src << " outside [0," << n
+                                          << ")");
+    ++off[s + 1];
+    ++m;
+  });
+  JSWEEP_CHECK_MSG(
+      m <= static_cast<std::size_t>(std::numeric_limits<Offset>::max()),
+      "CSR has " << m << " edges, more than its offsets hold");
+  for (std::size_t i = 1; i <= n; ++i) off[i] += off[i - 1];
+  out.resize(m);
+  // Place through off[src] as the cursor (it ends at src's end = src + 1's
+  // start), then shift back — no separate cursor array.
+  for_each_edge([&](auto src, Entry entry) {
+    out[static_cast<std::size_t>(off[static_cast<std::size_t>(src)]++)] =
+        std::move(entry);
+  });
+  for (std::size_t i = n; i > 0; --i) off[i] = off[i - 1];
+  off[0] = 0;
+}
 
 /// Immutable CSR directed graph over vertices [0, n).
 class Digraph {

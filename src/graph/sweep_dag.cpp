@@ -1,5 +1,7 @@
 #include "graph/sweep_dag.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "support/check.hpp"
@@ -55,15 +57,32 @@ PatchTaskGraph build_patch_task_graph(const mesh::StructuredMesh& m,
   const auto lagged = [&](std::int64_t face) {
     return cut != nullptr && cut->contains(face);
   };
+  // The μ tests depend on the direction only: split the six faces into
+  // outflow and inflow directions once (ascending FaceDir, the order the
+  // per-cell loops below visit them in).
+  std::array<mesh::FaceDir, 6> out_dirs{};
+  std::array<mesh::FaceDir, 6> in_dirs{};
+  int num_out = 0;
+  int num_in = 0;
+  for (int d = 0; d < 6; ++d) {
+    const double mu =
+        dot(mesh::kFaceNormals[static_cast<std::size_t>(d)], omega);
+    if (mu > kGrazingTol)
+      out_dirs[static_cast<std::size_t>(num_out++)] =
+          static_cast<mesh::FaceDir>(d);
+    if (mu < -kGrazingTol)
+      in_dirs[static_cast<std::size_t>(num_in++)] =
+          static_cast<mesh::FaceDir>(d);
+  }
+  g.local_edges.reserve(static_cast<std::size_t>(num_out) * cells.size());
 
   for (std::int32_t li = 0; li < g.num_vertices; ++li) {
     const CellId c = cells[static_cast<std::size_t>(li)];
-    for (int d = 0; d < 6; ++d) {
-      const auto dir = static_cast<mesh::FaceDir>(d);
-      const double mu =
-          dot(mesh::kFaceNormals[static_cast<std::size_t>(d)], omega);
-      if (mu <= kGrazingTol) continue;  // only outgoing faces from c
-      const auto nb = m.neighbor(c, dir);
+    const mesh::Index3 at = m.index_of(c);
+    // Outgoing faces of c.
+    for (int k = 0; k < num_out; ++k) {
+      const mesh::FaceDir dir = out_dirs[static_cast<std::size_t>(k)];
+      const auto nb = m.neighbor(at, dir);
       if (!nb) continue;  // domain boundary
       const std::int64_t face = structured_face_id(c, dir);
       const PatchId nb_patch = ps.patch_of(*nb);
@@ -76,12 +95,9 @@ PatchTaskGraph build_patch_task_graph(const mesh::StructuredMesh& m,
       }
     }
     // Incoming remote edges: upwind neighbors in other patches.
-    for (int d = 0; d < 6; ++d) {
-      const auto dir = static_cast<mesh::FaceDir>(d);
-      const double mu =
-          dot(mesh::kFaceNormals[static_cast<std::size_t>(d)], omega);
-      if (mu >= -kGrazingTol) continue;  // only incoming faces of c
-      const auto nb = m.neighbor(c, dir);
+    for (int k = 0; k < num_in; ++k) {
+      const mesh::FaceDir dir = in_dirs[static_cast<std::size_t>(k)];
+      const auto nb = m.neighbor(at, dir);
       if (!nb) continue;
       const PatchId nb_patch = ps.patch_of(*nb);
       if (nb_patch == patch) continue;  // covered as a local edge of nb
@@ -110,33 +126,30 @@ PatchTaskGraph build_patch_task_graph(const mesh::TetMesh& m,
 
   for (std::int32_t li = 0; li < g.num_vertices; ++li) {
     const CellId c = cells[static_cast<std::size_t>(li)];
+    // One pass over the cell's faces: each is an outflow face, an inflow
+    // face or grazing. Out- and in-edges land in separate lists, so each
+    // list keeps the face order of a dedicated pass.
     for (const auto f : m.cell_faces(c)) {
       const mesh::Vec3 area = m.outward_area(f, c);
       const double an = norm(area);
       const double flux = dot(area, omega);
-      if (flux <= kGrazingTol * an) continue;  // not an outflow face of c
+      const bool outflow = flux > kGrazingTol * an;
+      if (!outflow && flux >= -kGrazingTol * an) continue;  // grazing
       const CellId nb = m.across(f, c);
       if (!nb.valid()) continue;  // domain boundary
       const PatchId nb_patch = ps.patch_of(nb);
-      if (nb_patch == patch) {
-        (lagged(f) ? g.lagged_local : g.local_edges)
-            .push_back({li, ps.local_index(nb), f});
-      } else {
-        (lagged(f) ? g.lagged_out : g.remote_out)
-            .push_back({li, f, nb_patch, nb.value()});
+      if (outflow) {
+        if (nb_patch == patch) {
+          (lagged(f) ? g.lagged_local : g.local_edges)
+              .push_back({li, ps.local_index(nb), f});
+        } else {
+          (lagged(f) ? g.lagged_out : g.remote_out)
+              .push_back({li, f, nb_patch, nb.value()});
+        }
+      } else if (nb_patch != patch) {
+        (lagged(f) ? g.lagged_in : g.remote_in)
+            .push_back({nb_patch, nb.value(), f, li});
       }
-    }
-    for (const auto f : m.cell_faces(c)) {
-      const mesh::Vec3 area = m.outward_area(f, c);
-      const double an = norm(area);
-      const double flux = dot(area, omega);
-      if (flux >= -kGrazingTol * an) continue;  // not an inflow face of c
-      const CellId nb = m.across(f, c);
-      if (!nb.valid()) continue;
-      const PatchId nb_patch = ps.patch_of(nb);
-      if (nb_patch == patch) continue;
-      (lagged(f) ? g.lagged_in : g.remote_in)
-          .push_back({nb_patch, nb.value(), f, li});
     }
   }
   finalize(g);
@@ -190,59 +203,61 @@ Digraph build_patch_level_digraph(const std::vector<PatchTaskGraph>& graphs,
   return Digraph(num_patches, edges);
 }
 
-namespace {
+std::vector<InterPatchFace> inter_patch_faces(const mesh::StructuredMesh& m,
+                                              const partition::PatchSet& ps) {
+  // Visit each face once, from its low-side cell (the +x/+y/+z faces), and
+  // keep one entry per (from, to, axis): every face of such a triple gives
+  // the same μ test, so the list stays as small as the patch adjacency.
+  std::vector<InterPatchFace> faces;
+  std::vector<std::array<std::int32_t, 3>> seen;
+  for (std::int64_t c = 0; c < m.num_cells(); ++c) {
+    const PatchId pc = ps.patch_of(CellId{c});
+    const mesh::Index3 at = m.index_of(CellId{c});
+    for (int axis = 0; axis < 3; ++axis) {
+      const auto dir = static_cast<mesh::FaceDir>(2 * axis + 1);
+      const auto nb = m.neighbor(at, dir);
+      if (!nb) continue;
+      const PatchId pn = ps.patch_of(*nb);
+      if (pn != pc) seen.push_back({pc.value(), pn.value(), 2 * axis + 1});
+    }
+  }
+  std::sort(seen.begin(), seen.end());
+  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
+  faces.reserve(seen.size());
+  for (const auto& [from, to, d] : seen)
+    faces.push_back(
+        {from, to, mesh::kFaceNormals[static_cast<std::size_t>(d)]});
+  return faces;
+}
 
-template <class EdgeFn>
-Digraph patch_digraph_from_edges(int num_patches, EdgeFn&& emit_edges) {
+std::vector<InterPatchFace> inter_patch_faces(const mesh::TetMesh& m,
+                                              const partition::PatchSet& ps) {
+  std::vector<InterPatchFace> faces;
+  for (std::int64_t f = 0; f < m.num_faces(); ++f) {
+    const mesh::TetFace& face = m.face(f);
+    if (face.is_boundary()) continue;
+    const PatchId po = ps.patch_of(CellId{face.owner});
+    const PatchId pn = ps.patch_of(CellId{face.neighbor});
+    if (po != pn) faces.push_back({po.value(), pn.value(), face.area_vec});
+  }
+  return faces;
+}
+
+Digraph build_patch_digraph(const std::vector<InterPatchFace>& faces,
+                            int num_patches, const mesh::Vec3& omega) {
+  // The same test as the cell graphs, from either side of the face: the
+  // neighbor's outward area is the exact negation of the owner's, so
+  // `flux < -tol·|a|` is the neighbor's outflow test.
   std::vector<std::pair<std::int32_t, std::int32_t>> edges;
-  emit_edges(edges);
+  for (const auto& f : faces) {
+    const double tol = kGrazingTol * norm(f.area);
+    const double flux = dot(f.area, omega);
+    if (flux > tol) edges.emplace_back(f.from, f.to);
+    if (flux < -tol) edges.emplace_back(f.to, f.from);
+  }
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   return Digraph(num_patches, edges);
-}
-
-}  // namespace
-
-Digraph build_patch_digraph(const mesh::StructuredMesh& m,
-                            const partition::PatchSet& ps,
-                            const mesh::Vec3& omega) {
-  return patch_digraph_from_edges(
-      ps.num_patches(),
-      [&](std::vector<std::pair<std::int32_t, std::int32_t>>& edges) {
-        for (std::int64_t c = 0; c < m.num_cells(); ++c) {
-          const PatchId pc = ps.patch_of(CellId{c});
-          for (int d = 0; d < 6; ++d) {
-            const double mu =
-                dot(mesh::kFaceNormals[static_cast<std::size_t>(d)], omega);
-            if (mu <= kGrazingTol) continue;
-            const auto nb =
-                m.neighbor(CellId{c}, static_cast<mesh::FaceDir>(d));
-            if (!nb) continue;
-            const PatchId pn = ps.patch_of(*nb);
-            if (pn != pc) edges.emplace_back(pc.value(), pn.value());
-          }
-        }
-      });
-}
-
-Digraph build_patch_digraph(const mesh::TetMesh& m,
-                            const partition::PatchSet& ps,
-                            const mesh::Vec3& omega) {
-  return patch_digraph_from_edges(
-      ps.num_patches(),
-      [&](std::vector<std::pair<std::int32_t, std::int32_t>>& edges) {
-        for (std::int64_t c = 0; c < m.num_cells(); ++c) {
-          const PatchId pc = ps.patch_of(CellId{c});
-          for (const auto f : m.cell_faces(CellId{c})) {
-            const mesh::Vec3 area = m.outward_area(f, CellId{c});
-            if (dot(area, omega) <= kGrazingTol * norm(area)) continue;
-            const CellId nb = m.across(f, CellId{c});
-            if (!nb.valid()) continue;
-            const PatchId pn = ps.patch_of(nb);
-            if (pn != pc) edges.emplace_back(pc.value(), pn.value());
-          }
-        }
-      });
 }
 
 Digraph build_global_cell_digraph(const mesh::StructuredMesh& m,

@@ -147,16 +147,32 @@ PatchTaskGraph build_patch_task_graph(const mesh::TetMesh& m,
 Digraph build_patch_level_digraph(const std::vector<PatchTaskGraph>& graphs,
                                   int num_patches);
 
-/// Patch-level digraph built directly from the mesh (every rank can build
-/// the global patch graph without materializing all patch task graphs).
-Digraph build_patch_digraph(const mesh::StructuredMesh& m,
-                            const partition::PatchSet& ps,
-                            const mesh::Vec3& omega);
-/// Tet-mesh overload of \ref build_patch_digraph: same contract, face
-/// orientation taken from the tet face normals.
-Digraph build_patch_digraph(const mesh::TetMesh& m,
-                            const partition::PatchSet& ps,
-                            const mesh::Vec3& omega);
+/// A mesh face between cells of two different patches, as the patch-level
+/// digraphs see it: `area` is the face's area vector pointing out of the
+/// cell in patch `from` (a unit normal on structured meshes).
+struct InterPatchFace {
+  std::int32_t from;  ///< patch of the cell `area` points out of
+  std::int32_t to;    ///< patch of the cell across the face
+  mesh::Vec3 area;    ///< area vector, outward from `from`'s cell
+};
+
+/// Every inter-patch face of a partitioned structured mesh, listed once per
+/// (from, to, axis): all faces of such a triple share one normal, so the
+/// list is as small as the patch adjacency. Direction-independent: a plan
+/// computes it once and builds every direction's patch digraph from it.
+std::vector<InterPatchFace> inter_patch_faces(const mesh::StructuredMesh& m,
+                                              const partition::PatchSet& ps);
+/// Tet-mesh overload of \ref inter_patch_faces: one entry per interior
+/// face whose two cells lie in different patches (area outward from the
+/// face owner).
+std::vector<InterPatchFace> inter_patch_faces(const mesh::TetMesh& m,
+                                              const partition::PatchSet& ps);
+
+/// Patch-level digraph for direction `omega` from a precomputed
+/// inter-patch face list: edge p→q iff some face carries flux from p to q
+/// (same grazing test as the cell graphs). Edges are deduplicated.
+Digraph build_patch_digraph(const std::vector<InterPatchFace>& faces,
+                            int num_patches, const mesh::Vec3& omega);
 
 /// Whole-mesh sweep digraph over (cell) vertices for one direction —
 /// O(cells) memory; used by tests and the serial reference solver to

@@ -12,16 +12,6 @@ StructuredMesh::StructuredMesh(Index3 dims, Vec3 spacing, Vec3 origin)
   JSWEEP_CHECK(spacing.x > 0 && spacing.y > 0 && spacing.z > 0);
 }
 
-std::optional<CellId> StructuredMesh::neighbor(CellId c, FaceDir dir) const {
-  Index3 p = index_of(c);
-  const Index3 off = kFaceOffsets[static_cast<std::size_t>(dir)];
-  p.i += off.i;
-  p.j += off.j;
-  p.k += off.k;
-  if (!box().contains(p)) return std::nullopt;
-  return cell_at(p);
-}
-
 Vec3 StructuredMesh::cell_center(CellId c) const {
   const Index3 p = index_of(c);
   return {origin_.x + (p.i + 0.5) * spacing_.x,

@@ -46,8 +46,22 @@ class StructuredMesh {
   /// The whole mesh as an index box.
   [[nodiscard]] Box box() const { return {{0, 0, 0}, dims_}; }
 
-  /// Neighbor across `dir`, or nullopt at the domain boundary.
-  [[nodiscard]] std::optional<CellId> neighbor(CellId c, FaceDir dir) const;
+  /// Neighbor across `dir`, or nullopt at the domain boundary. Inline:
+  /// graph construction and face interning call it per cell and face.
+  [[nodiscard]] std::optional<CellId> neighbor(CellId c, FaceDir dir) const {
+    return neighbor(index_of(c), dir);
+  }
+  /// Neighbor across `dir` of the cell at index `p`: for loops that visit
+  /// several faces of one cell and so decode its index (three divisions)
+  /// once.
+  [[nodiscard]] std::optional<CellId> neighbor(Index3 p, FaceDir dir) const {
+    const Index3 off = kFaceOffsets[static_cast<std::size_t>(dir)];
+    p.i += off.i;
+    p.j += off.j;
+    p.k += off.k;
+    if (!box().contains(p)) return std::nullopt;
+    return cell_at(p);
+  }
 
   [[nodiscard]] Vec3 cell_center(CellId c) const;
   [[nodiscard]] double cell_volume() const {

@@ -65,9 +65,13 @@ TransferCurves curves_from_task_data(const sweep::SweepTaskData& data,
     data.for_out_remote(v, [&](const sweep::RemoteOut&) {
       ++remote_out[static_cast<std::size_t>(v)];
     });
+  // Remote-in edges per vertex: its initial count minus its local
+  // in-degree.
   std::vector<std::int32_t> remote_in(static_cast<std::size_t>(n), 0);
-  for (const auto& e : data.graph().remote_in)
-    ++remote_in[static_cast<std::size_t>(e.v)];
+  for (std::int32_t v = 0; v < n; ++v)
+    remote_in[static_cast<std::size_t>(v)] =
+        data.initial_counts()[static_cast<std::size_t>(v)] -
+        counts[static_cast<std::size_t>(v)];
 
   struct Entry {
     double priority;

@@ -220,9 +220,10 @@ void StructuredDD::face_ids(CellId c, const Ordinate& ang,
       omega.z > 0 ? mesh::FaceDir::ZLo : mesh::FaceDir::ZHi};
   ids = CellFaceIds{};
   ids.count = 3;
+  const mesh::Index3 at = mesh_.index_of(c);
   for (int axis = 0; axis < 3; ++axis) {
     const auto d = in_dir[static_cast<std::size_t>(axis)];
-    const auto nb = mesh_.neighbor(c, d);
+    const auto nb = mesh_.neighbor(at, d);
     // Albedo sides: the incoming boundary face is structured_face_id(c, d)
     // — the very face the mirror angle writes as its outflow from this
     // cell — so the plan's boundary store can couple the pair.

@@ -194,9 +194,7 @@ std::shared_ptr<const SweepPlan> SweepPlan::build(
           const graph::CycleCut* cut) {
         return graph::build_patch_task_graph(m, ps, p, omega, a, cut);
       },
-      [&](const mesh::Vec3& omega) {
-        return graph::build_patch_digraph(m, ps, omega);
-      },
+      [&] { return graph::inter_patch_faces(m, ps); },
       [&](const mesh::Vec3& omega) {
         return graph::compute_cycle_cut(m, omega);
       },
@@ -218,9 +216,7 @@ std::shared_ptr<const SweepPlan> SweepPlan::build(
           const graph::CycleCut* cut) {
         return graph::build_patch_task_graph(m, ps, p, omega, a, cut);
       },
-      [&](const mesh::Vec3& omega) {
-        return graph::build_patch_digraph(m, ps, omega);
-      },
+      [&] { return graph::inter_patch_faces(m, ps); },
       [&](const mesh::Vec3& omega) {
         return graph::compute_cycle_cut(m, omega);
       },
@@ -236,8 +232,8 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
     const std::function<graph::PatchTaskGraph(
         PatchId, const mesh::Vec3&, AngleId, const graph::CycleCut*)>&
         task_builder,
-    const std::function<graph::Digraph(const mesh::Vec3&)>&
-        patch_digraph_builder,
+    const std::function<std::vector<graph::InterPatchFace>()>&
+        patch_faces_builder,
     const std::function<graph::CycleCut(const mesh::Vec3&)>& cut_builder,
     const std::function<void(LaggedFluxStore&)>& boundary_registrar,
     const std::function<BoundaryCoupling(PatchId, AngleId,
@@ -284,6 +280,32 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
   // slots, which the per-angle loop below would not have reached yet.
   if (boundary_registrar) boundary_registrar(plan->lagged_template_);
 
+  // Stage timers (PlanBuildStats): each stage's wall time accumulates
+  // across the per-angle loop.
+  PlanBuildStats& stats = plan->build_stats_;
+  const auto timed = [](double& bucket, auto&& fn) {
+    WallTimer stage;
+    fn();
+    bucket += stage.seconds();
+  };
+
+  // The inter-patch faces do not depend on the direction: list them once,
+  // then every angle's patch digraph scans that list, not the mesh.
+  std::vector<graph::InterPatchFace> patch_faces;
+  timed(stats.patch_graph_seconds,
+        [&] { patch_faces = patch_faces_builder(); });
+
+  const std::size_t num_tasks =
+      static_cast<std::size_t>(quad.num_angles()) *
+      plan->local_patches_.size();
+  plan->task_data_.reserve(num_tasks);
+  plan->programs_.reserve(num_tasks *
+                          static_cast<std::size_t>(plan->groups_built_));
+
+  // One interning scratch for the whole build, reused by every task (a
+  // build-local object: concurrent builds never share it).
+  FaceSlotInterner interner;
+
   // Outer loop over angles so all programs of one angle share its
   // patch-priority vector; programs are stored angle-major, a fixed order
   // reused by the deterministic φ collection.
@@ -294,7 +316,8 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
     // deterministic function of the mesh and direction, so every rank
     // computes the identical set and registers identical store slots.
     graph::CycleCut cut;
-    if (config.cycle_policy != CyclePolicy::Assume) cut = cut_builder(omega);
+    if (config.cycle_policy != CyclePolicy::Assume)
+      timed(stats.cycle_cut_seconds, [&] { cut = cut_builder(omega); });
     if (!cut.empty()) {
       JSWEEP_CHECK_MSG(
           config.cycle_policy == CyclePolicy::Lag,
@@ -312,21 +335,32 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
       std::sort(faces.begin(), faces.end());
       for (const auto face : faces) plan->lagged_template_.add_slot(a, face);
     }
-    const graph::Digraph patch_graph = patch_digraph_builder(omega);
-    const std::vector<double> pprio =
-        graph::patch_priorities(config.patch_priority, patch_graph);
+    std::vector<double> pprio;
+    timed(stats.patch_graph_seconds, [&] {
+      pprio = graph::patch_priorities(
+          config.patch_priority,
+          graph::build_patch_digraph(patch_faces, ps.num_patches(), omega));
+    });
     // The structural task data is group-independent (same DAG, same face
     // slots): built once per (patch, angle), shared by all group programs.
     for (const auto p : plan->local_patches_) {
       BoundaryCoupling coupling;
-      if (boundary_builder)
-        coupling = boundary_builder(p, AngleId{a}, plan->lagged_template_);
-      plan->task_data_.push_back(std::make_unique<SweepTaskData>(
-          task_builder(p, omega, AngleId{a}, cut.empty() ? nullptr : &cut),
-          config.vertex_priority, disc, ps, quad.angle(a),
-          plan->lagged_template_.empty() ? nullptr
-                                         : &plan->lagged_template_,
-          coupling.empty() ? nullptr : &coupling));
+      graph::PatchTaskGraph task_graph;
+      timed(stats.task_graph_seconds, [&] {
+        if (boundary_builder)
+          coupling = boundary_builder(p, AngleId{a}, plan->lagged_template_);
+        task_graph =
+            task_builder(p, omega, AngleId{a}, cut.empty() ? nullptr : &cut);
+      });
+      timed(stats.task_data_seconds, [&] {
+        plan->task_data_.push_back(std::make_unique<SweepTaskData>(
+            std::move(task_graph), config.vertex_priority, disc, ps,
+            quad.angle(a),
+            plan->lagged_template_.empty() ? nullptr
+                                           : &plan->lagged_template_,
+            coupling.empty() ? nullptr : &coupling, &interner));
+      });
+      stats.task_data_bytes += plan->task_data_.back()->memory_bytes();
       const std::size_t data_index = plan->task_data_.size() - 1;
       for (int g = 0; g < plan->groups_built_; ++g) {
         // Task priority: earlier groups strictly dominate (they unblock

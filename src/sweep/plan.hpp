@@ -105,6 +105,31 @@ struct PlanConfig {
   std::optional<PlanTuning> tuning;
 };
 
+/// Where one SweepPlan::build spent its time, stage by stage, and what its
+/// task data holds afterwards. The stages are disjoint and all lie inside
+/// SweepPlan::build_seconds(); the remainder is bookkeeping (owner scan,
+/// per-group kernels, lagged-slot registration, the program table).
+struct PlanBuildStats {
+  /// Per-direction cycle detection and feedback-edge cuts.
+  double cycle_cut_seconds = 0.0;
+  /// Inter-patch face list (once), per-direction patch digraphs and patch
+  /// priorities.
+  double patch_graph_seconds = 0.0;
+  /// Per-(patch, angle) task graphs and reflecting-boundary coupling.
+  double task_graph_seconds = 0.0;
+  /// SweepTaskData construction: CSR, face-slot interning, vertex
+  /// priorities.
+  double task_data_seconds = 0.0;
+  /// Heap bytes held by the plan's task data after the build.
+  std::int64_t task_data_bytes = 0;
+
+  /// Sum of the four stage timings.
+  [[nodiscard]] double stage_seconds() const {
+    return cycle_cut_seconds + patch_graph_seconds + task_graph_seconds +
+           task_data_seconds;
+  }
+};
+
 /// One engine-registrable program of the plan: index of its (shared,
 /// group-independent) SweepTaskData, its group set, and its static
 /// scheduling priority.
@@ -219,6 +244,10 @@ class SweepPlan {
 
   /// Wall time of the build (graphs, cuts, interning, priorities).
   [[nodiscard]] double build_seconds() const { return build_seconds_; }
+  /// Per-stage split of build_seconds() and the task data's footprint.
+  [[nodiscard]] const PlanBuildStats& build_stats() const {
+    return build_stats_;
+  }
   /// Rank the plan was built on (sessions must execute on the same rank).
   [[nodiscard]] RankId built_rank() const { return built_rank_; }
   /// Cluster size the plan was built for.
@@ -239,8 +268,8 @@ class SweepPlan {
       const std::function<graph::PatchTaskGraph(
           PatchId, const mesh::Vec3&, AngleId, const graph::CycleCut*)>&
           task_builder,
-      const std::function<graph::Digraph(const mesh::Vec3&)>&
-          patch_digraph_builder,
+      const std::function<std::vector<graph::InterPatchFace>()>&
+          patch_faces_builder,
       const std::function<graph::CycleCut(const mesh::Vec3&)>& cut_builder,
       const std::function<void(LaggedFluxStore&)>& boundary_registrar,
       const std::function<BoundaryCoupling(PatchId, AngleId,
@@ -265,6 +294,7 @@ class SweepPlan {
   graph::CycleStats cycle_stats_;
   int cyclic_angles_ = 0;
   double build_seconds_ = 0.0;
+  PlanBuildStats build_stats_;
   RankId built_rank_{0};
   int built_size_ = 1;
 };

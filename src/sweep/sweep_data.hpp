@@ -2,13 +2,14 @@
 
 /// \file sweep_data.hpp
 /// Immutable per-(patch, angle) sweep data shared by every engine and every
-/// source iteration: the dependency graph in per-vertex CSR form (with face
-/// ids), vertex priorities, the combined (patch, angle) scheduling
-/// priority, and the *dense face-flux index* — every face this task can
-/// touch (upwind in, interior, downwind out, lagged) resolved to a compact
-/// workspace slot so the kernels and the stream paths never hash at run
-/// time. Building this once and reusing it across iterations mirrors the
-/// paper's constant-mesh assumption (Sec. V-E).
+/// source iteration: the dependency graph in per-vertex CSR form (remote
+/// edges with their face ids), vertex priorities, and the *dense face-flux
+/// index* — every face this task can touch (upwind in, interior, downwind
+/// out, lagged) resolved to a compact workspace slot so the kernels and the
+/// stream paths never hash at run time. The slots are interned at build
+/// time by a flat FaceSlotInterner. Building this once and reusing it
+/// across iterations mirrors the paper's constant-mesh assumption
+/// (Sec. V-E).
 
 #include <memory>
 #include <utility>
@@ -58,8 +59,7 @@ namespace jsweep::sweep {
 
 /// A local downwind edge of one vertex.
 struct OutLocal {
-  std::int32_t w;       ///< downwind local vertex
-  std::int64_t face;    ///< connecting face
+  std::int32_t w;  ///< downwind local vertex
 };
 
 /// A remote downwind edge, fully resolved for the hot path: the carrying
@@ -112,22 +112,66 @@ struct BoundaryCoupling {
   [[nodiscard]] bool empty() const { return reads.empty() && writes.empty(); }
 };
 
+/// Build-time scratch for the dense face-flux index: a flat
+/// open-addressing map from global face id to workspace slot that hands
+/// out slots in first-touch order. It allocates no per-entry nodes: one
+/// bucket array, grown to the largest task of a plan build and reused by
+/// every task of that build. A plan build owns one interner, so ranks
+/// building concurrently in threads never share one. The table is sized
+/// by the task (the faces its cells touch), never by the global mesh.
+class FaceSlotInterner {
+ public:
+  /// Start an empty map sized for about `expected_faces` entries. Every
+  /// task calls this before its first intern(), so whatever an earlier
+  /// task left behind — also one whose build threw — is discarded here.
+  void reset(std::int64_t expected_faces);
+  /// Slot of `face`, assigning the next free slot on first touch.
+  std::int32_t intern(std::int64_t face);
+  /// Slot of an interned face, or sn::CellFaceSlots::kNone.
+  [[nodiscard]] std::int32_t find(std::int64_t face) const;
+  /// Faces interned since the last reset() (= slots handed out).
+  [[nodiscard]] std::int32_t size() const { return size_; }
+
+ private:
+  struct Bucket {
+    std::int64_t face;
+    std::int32_t slot;
+    std::uint32_t epoch;  ///< live iff == epoch_
+  };
+  [[nodiscard]] std::size_t home(std::int64_t face) const {
+    // Fibonacci hashing: the top bits of face · 2^64/φ.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(face) * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+  void grow();
+
+  std::vector<Bucket> buckets_;
+  std::size_t mask_ = 0;
+  int shift_ = 64;
+  std::uint32_t epoch_ = 0;
+  std::int32_t size_ = 0;
+};
+
 /// Immutable per-(patch, angle) sweep structure (see \ref sweep_data.hpp):
 /// the dependency graph in CSR form plus the dense face-flux index. Shared
 /// read-only by every group's program of that (patch, angle) and by every
-/// engine — built once, reused across all iterations.
+/// engine — built once, reused across all iterations. The PatchTaskGraph
+/// it is built from is consumed: only the CSR, the initial dependency
+/// counts, the priorities and the resolved slots are kept.
 class SweepTaskData {
  public:
   /// `disc`, `ps` and `lagged` must outlive the task data; `lagged` may be
   /// null iff the graph has no lagged edges and `boundary` is null/empty.
   /// `boundary` (optional, copied) adds the task's reflecting/albedo
-  /// boundary faces to the lagged seed/stage lists.
+  /// boundary faces to the lagged seed/stage lists. `interner` (optional)
+  /// is the build's reusable interning scratch; null uses a private one.
   SweepTaskData(graph::PatchTaskGraph g,
                 graph::PriorityStrategy vertex_strategy,
                 const sn::Discretization& disc,
                 const partition::PatchSet& ps, const sn::Ordinate& ordinate,
                 const LaggedFluxStore* lagged = nullptr,
-                const BoundaryCoupling* boundary = nullptr);
+                const BoundaryCoupling* boundary = nullptr,
+                FaceSlotInterner* interner = nullptr);
 
   /// Graph-only form for consumers that replay the DAG without sweeping
   /// (e.g. the simulator's transfer-curve extraction): no dense face index
@@ -135,16 +179,12 @@ class SweepTaskData {
   SweepTaskData(graph::PatchTaskGraph g,
                 graph::PriorityStrategy vertex_strategy);
 
-  /// The underlying per-(patch, angle) dependency graph.
-  [[nodiscard]] const graph::PatchTaskGraph& graph() const { return graph_; }
   /// Patch this task sweeps.
-  [[nodiscard]] PatchId patch() const { return graph_.patch; }
+  [[nodiscard]] PatchId patch() const { return patch_; }
   /// Sweep direction (ordinate id) of this task.
-  [[nodiscard]] AngleId angle() const { return graph_.angle; }
+  [[nodiscard]] AngleId angle() const { return angle_; }
   /// Local vertices (= cells of the patch).
-  [[nodiscard]] std::int32_t num_vertices() const {
-    return graph_.num_vertices;
-  }
+  [[nodiscard]] std::int32_t num_vertices() const { return num_vertices_; }
 
   /// Local downwind edges of vertex v.
   template <class Fn>
@@ -164,7 +204,7 @@ class SweepTaskData {
 
   /// Per-vertex initial dependency counts (local upwind + remote-in).
   [[nodiscard]] const std::vector<std::int32_t>& initial_counts() const {
-    return graph_.initial_counts;
+    return initial_counts_;
   }
   /// Scheduling priority of vertex v within this program.
   [[nodiscard]] double vertex_priority(std::int32_t v) const {
@@ -219,10 +259,14 @@ class SweepTaskData {
   /// old value restored, so downstream reads stay order-independent.
   template <class Fn>
   void for_lagged_writes(std::int32_t v, Fn&& fn) const {
+    if (lag_off_.empty()) return;  // no lagged writes: CSR not kept
     for (auto e = lag_off_[static_cast<std::size_t>(v)];
          e < lag_off_[static_cast<std::size_t>(v) + 1]; ++e)
       fn(lag_slots_[static_cast<std::size_t>(e)]);
   }
+
+  /// Heap bytes this task data holds (vector capacities plus the object).
+  [[nodiscard]] std::int64_t memory_bytes() const;
 
   /// Process-wide count of SweepTaskData instances ever constructed. Task
   /// graphs and the dense face-slot interning are built only here, so this
@@ -236,12 +280,16 @@ class SweepTaskData {
                 const sn::Discretization* disc,
                 const partition::PatchSet* ps, const sn::Ordinate* ordinate,
                 const LaggedFluxStore* lagged,
-                const BoundaryCoupling* boundary);
+                const BoundaryCoupling* boundary,
+                FaceSlotInterner* interner);
 
-  graph::PatchTaskGraph graph_;
-  std::vector<std::int64_t> out_off_;
+  PatchId patch_;
+  AngleId angle_;
+  std::int32_t num_vertices_ = 0;
+  std::vector<std::int32_t> initial_counts_;
+  std::vector<std::int32_t> out_off_;
   std::vector<OutLocal> out_;
-  std::vector<std::int64_t> rout_off_;
+  std::vector<std::int32_t> rout_off_;
   std::vector<RemoteOut> rout_;
   std::vector<double> vprio_;
 
@@ -252,7 +300,7 @@ class SweepTaskData {
   std::vector<std::int64_t> dst_capacity_;
 
   std::vector<LaggedSlot> lagged_seed_;
-  std::vector<std::int64_t> lag_off_;
+  std::vector<std::int32_t> lag_off_;  ///< empty when no vertex writes one
   std::vector<LaggedSlot> lag_slots_;
   bool any_lagged_ = false;
 };

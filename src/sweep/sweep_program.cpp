@@ -200,7 +200,9 @@ void SweepPatchProgram::mark_ready(std::int32_t v) {
 
 void SweepPatchProgram::init() {
   counts_ = data_.initial_counts();
-  ready_ = {};
+  // Drain instead of reassigning: the heap keeps its capacity, so steady
+  // sweeps allocate nothing here (it is empty unless a run was aborted).
+  while (!ready_.empty()) ready_.pop();
   for (std::int32_t v = 0; v < data_.num_vertices(); ++v)
     if (counts_[static_cast<std::size_t>(v)] == 0) mark_ready(v);
   // The workspace itself is borrowed lazily (WorkspaceLease::ensure) on

@@ -78,6 +78,25 @@ TEST(Digraph, ReversedSwapsDegrees) {
   EXPECT_EQ(r.out_degree(2), 1);
 }
 
+TEST(Digraph, ReversedKeepsEdgeListOrder) {
+  // The direct CSR reversal must equal building from the reversed edge
+  // list, neighbor order and parallel edges included.
+  const Digraph g(5, {{0, 3}, {4, 3}, {1, 3}, {0, 3}, {2, 0}, {3, 1}});
+  std::vector<std::pair<std::int32_t, std::int32_t>> flipped;
+  for (std::int32_t v = 0; v < g.num_vertices(); ++v)
+    g.for_out(v, [&](std::int32_t u) { flipped.emplace_back(u, v); });
+  const Digraph expected(5, flipped);
+  const Digraph r = g.reversed();
+  ASSERT_EQ(r.num_edges(), expected.num_edges());
+  for (std::int32_t v = 0; v < 5; ++v) {
+    std::vector<std::int32_t> got;
+    std::vector<std::int32_t> want;
+    r.for_out(v, [&](std::int32_t u) { got.push_back(u); });
+    expected.for_out(v, [&](std::int32_t u) { want.push_back(u); });
+    EXPECT_EQ(got, want) << "vertex " << v;
+  }
+}
+
 TEST(Priority, BfsLevels) {
   //   0 → 1 → 2
   //   3 ──────^
@@ -226,7 +245,8 @@ TEST(SweepDag, PatchDigraphMatchesTaskGraphs) {
     graphs.push_back(
         build_patch_task_graph(m, ps, PatchId{p}, omega, AngleId{0}));
   const Digraph from_graphs = build_patch_level_digraph(graphs, 4);
-  const Digraph from_mesh = build_patch_digraph(m, ps, omega);
+  const Digraph from_mesh =
+      build_patch_digraph(inter_patch_faces(m, ps), 4, omega);
 
   // Same edge sets.
   const auto edges_of = [](const Digraph& g) {
@@ -236,6 +256,51 @@ TEST(SweepDag, PatchDigraphMatchesTaskGraphs) {
     return edges;
   };
   EXPECT_EQ(edges_of(from_graphs), edges_of(from_mesh));
+}
+
+/// Edge set of a digraph, for order-insensitive comparisons.
+std::set<Edge> edge_set(const Digraph& g) {
+  std::set<Edge> edges;
+  for (std::int32_t v = 0; v < g.num_vertices(); ++v)
+    g.for_out(v, [&](std::int32_t u) { edges.insert({v, u}); });
+  return edges;
+}
+
+TEST(SweepDag, InterPatchFaceDigraphsMatchTaskGraphsEveryAngle) {
+  // One face list per mesh serves every direction: its digraph must equal
+  // the one read off that direction's task graphs, for all S4 angles, on
+  // a structured block partition and on a graph-partitioned tet mesh whose
+  // patch graphs are cyclic.
+  const sn::Quadrature quad = sn::Quadrature::level_symmetric(4);
+  const auto check = [&](const auto& m, const partition::PatchSet& ps) {
+    const std::vector<InterPatchFace> faces = inter_patch_faces(m, ps);
+    ASSERT_FALSE(faces.empty());
+    for (const auto& ang : quad.ordinates()) {
+      std::vector<PatchTaskGraph> graphs;
+      for (int p = 0; p < ps.num_patches(); ++p)
+        graphs.push_back(
+            build_patch_task_graph(m, ps, PatchId{p}, ang.dir, AngleId{0}));
+      const Digraph from_faces =
+          build_patch_digraph(faces, ps.num_patches(), ang.dir);
+      EXPECT_EQ(edge_set(from_faces),
+                edge_set(build_patch_level_digraph(graphs, ps.num_patches())));
+      // Deduplicated like the task-graph view.
+      EXPECT_EQ(from_faces.num_edges(),
+                static_cast<std::int64_t>(edge_set(from_faces).size()));
+    }
+  };
+  {
+    const mesh::StructuredMesh m({8, 6, 4}, {1, 1, 1});
+    const auto part =
+        partition::partition_sfc({8, 6, 4}, 5, partition::Curve::Hilbert);
+    const partition::CsrGraph cg = partition::cell_graph(m);
+    check(m, partition::PatchSet(part, 5, &cg));
+  }
+  {
+    const mesh::TetMesh m = mesh::make_twisted_column_mesh();
+    const partition::CsrGraph cg = partition::cell_graph(m);
+    check(m, partition::PatchSet(partition::partition_graph(cg, 4), 4, &cg));
+  }
 }
 
 }  // namespace

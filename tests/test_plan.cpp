@@ -7,17 +7,25 @@
 // concurrently against one shared plan match the serial result to 1e-12;
 // (d) SweepService-batched solves reproduce standalone source iteration
 // bitwise, including on cut meshes; (e) malformed plan inputs throw
-// actionable CheckErrors at build time, not mid-solve.
+// actionable CheckErrors at build time, not mid-solve; (f) the build's
+// stage timings are coherent and its task data stays within a per
+// cell-angle byte budget; (g) the flat face-slot interner reproduces a
+// plain unordered_map's first-touch slot numbering on vacuum, albedo and
+// cut meshes, and recovers after a failed task build.
 //
 // This binary owns the global operator new/delete replacement
 // (support/alloc_counter.hpp) — include it from exactly one TU per binary.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "comm/cluster.hpp"
@@ -45,6 +53,7 @@ std::vector<double> test_source(std::int64_t cells) {
 
 /// The Kobayashi structured scenario every test here reuses: mesh, cross
 /// sections, kernel, partition and quadrature with matching lifetimes.
+/// Defaults: n = 8, S2, 2×2×2 patches, vacuum boundaries.
 struct StructuredCase {
   mesh::StructuredMesh m;
   sn::CellXs xs;
@@ -54,13 +63,17 @@ struct StructuredCase {
   partition::PatchSet ps;
   std::vector<RankId> owner;
 
-  explicit StructuredCase(int n = 8)
+  explicit StructuredCase(int n = 8, int sn_order = 2, int patch_edge = 0,
+                          sn::BoundarySpec boundary = {})
       : m(mesh::make_kobayashi_mesh(n)),
         xs(expand(sn::MaterialTable::kobayashi(), m.materials(),
                   m.num_cells())),
-        disc(m, xs),
-        quad(sn::Quadrature::level_symmetric(2)),
-        layout(m.dims(), {n / 2, n / 2, n / 2}),
+        disc(m, xs, true, boundary),
+        quad(sn::Quadrature::level_symmetric(sn_order)),
+        layout(m.dims(), patch_edge > 0
+                             ? mesh::Index3{patch_edge, patch_edge,
+                                            patch_edge}
+                             : mesh::Index3{n / 2, n / 2, n / 2}),
         ps(partition::block_partition(layout), layout.num_patches()),
         owner(partition::assign_contiguous(layout.num_patches(), 1)) {}
 };
@@ -420,6 +433,239 @@ TEST(PlanValidation, CellXsValidateIsActionable) {
   auto non_finite = xs;
   non_finite.source[0] = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(non_finite.validate(), CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// (f) Plan-build stage timings and task-data footprint.
+// ---------------------------------------------------------------------------
+
+TEST(PlanBuildStats, StagesAreNonNegativeAndWithinBuildTime) {
+  const StructuredCase structured;
+  const CyclicCase cyclic;
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    sweep::PlanConfig lag;
+    lag.cycle_policy = sweep::CyclePolicy::Lag;
+    const auto plans = {
+        sweep::SweepPlan::build(ctx, structured.m, structured.ps,
+                                structured.owner, structured.disc,
+                                structured.quad),
+        sweep::SweepPlan::build(ctx, cyclic.m, cyclic.ps, cyclic.owner,
+                                cyclic.disc, cyclic.quad, lag)};
+    for (const auto& plan : plans) {
+      const sweep::PlanBuildStats& st = plan->build_stats();
+      EXPECT_GE(st.cycle_cut_seconds, 0.0);
+      EXPECT_GE(st.patch_graph_seconds, 0.0);
+      EXPECT_GE(st.task_graph_seconds, 0.0);
+      EXPECT_GE(st.task_data_seconds, 0.0);
+      EXPECT_LE(st.stage_seconds(), plan->build_seconds());
+      EXPECT_GT(st.task_data_bytes, 0);
+    }
+  });
+}
+
+TEST(PlanBuildStats, TaskDataBytesPerCellAngleGate) {
+  // Kobayashi 16³, S4 (24 angles), 8³ patches: 192 tasks of 512 cells.
+  // Deterministic: the bytes are vector capacities, not timings. Before
+  // the compact task data (graph copy kept, int64 offsets, faces on local
+  // edges) this was 214.96 B per cell-angle; after it, 70.72. The bound is
+  // the post-change value + 10%.
+  const StructuredCase tc(16, 4, 8);
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    const auto plan = sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
+                                              tc.disc, tc.quad);
+    const double cell_angles = static_cast<double>(tc.m.num_cells()) *
+                               static_cast<double>(tc.quad.num_angles());
+    const double per_cell_angle =
+        static_cast<double>(plan->build_stats().task_data_bytes) /
+        cell_angles;
+    EXPECT_LE(per_cell_angle, 77.8)
+        << "task data grew to " << per_cell_angle << " B per cell-angle";
+  });
+}
+
+// ---------------------------------------------------------------------------
+// (g) Face-slot interning against a plain unordered_map reference.
+// ---------------------------------------------------------------------------
+
+/// First-touch face → slot numbering with a node-based map: the reference
+/// the flat interner must reproduce slot for slot.
+struct MapInterner {
+  std::unordered_map<std::int64_t, std::int32_t> slot_of;
+  std::int32_t intern(std::int64_t face) {
+    if (face < 0) return sn::CellFaceSlots::kNone;
+    return slot_of.emplace(face, static_cast<std::int32_t>(slot_of.size()))
+        .first->second;
+  }
+};
+
+/// Check one task's dense index against the map reference: slot count,
+/// every cell's in/out slots, every remote-in face, and the workspace
+/// slots of the lagged seeds and per-vertex lagged writes (cycle-cut faces
+/// of `g`; with `albedo`, also the reflecting-boundary faces, which a
+/// structured cell names after itself).
+template <class Mesh>
+void expect_matches_reference(const sweep::SweepTaskData& data,
+                              const graph::PatchTaskGraph& g, const Mesh& m,
+                              const sn::Discretization& disc,
+                              const partition::PatchSet& ps,
+                              const sn::Ordinate& ordinate, bool albedo) {
+  (void)m;  // only the structured albedo faces need the mesh
+  MapInterner ref;
+  const auto& cells = ps.cells(data.patch());
+  std::vector<std::int32_t> seeds;
+  std::vector<std::vector<std::int32_t>> writes(cells.size());
+  sn::CellFaceIds ids;
+  for (std::size_t v = 0; v < cells.size(); ++v) {
+    disc.face_ids(cells[v], ordinate, ids);
+    const auto& slots = data.cell_slots(static_cast<std::int32_t>(v));
+    for (int k = 0; k < ids.count; ++k) {
+      const auto kk = static_cast<std::size_t>(k);
+      const std::int64_t in = ids.in[kk];
+      const std::int64_t out = ids.out[kk];
+      ASSERT_EQ(slots.in[kk], ref.intern(in)) << "vertex " << v;
+      ASSERT_EQ(slots.out[kk], ref.intern(out)) << "vertex " << v;
+      if constexpr (std::is_same_v<Mesh, mesh::StructuredMesh>) {
+        if (albedo && in >= 0 && graph::structured_face_cell(in) == cells[v])
+          seeds.push_back(ref.slot_of.at(in));
+        if (albedo && !m.neighbor(cells[v], graph::structured_face_dir(out)))
+          writes[v].push_back(ref.slot_of.at(out));
+      }
+    }
+  }
+  EXPECT_EQ(data.num_flux_slots(),
+            static_cast<std::int64_t>(ref.slot_of.size()));
+  for (const auto& e : g.remote_in)
+    EXPECT_EQ(data.slot_of_remote_in(e.face), ref.slot_of.at(e.face));
+
+  std::vector<std::int64_t> cut_reads;
+  for (const auto& e : g.lagged_local) cut_reads.push_back(e.face);
+  for (const auto& e : g.lagged_in) cut_reads.push_back(e.face);
+  std::sort(cut_reads.begin(), cut_reads.end());
+  cut_reads.erase(std::unique(cut_reads.begin(), cut_reads.end()),
+                  cut_reads.end());
+  for (const auto f : cut_reads) seeds.push_back(ref.slot_of.at(f));
+  for (const auto& e : g.lagged_local)
+    writes[static_cast<std::size_t>(e.u)].push_back(ref.slot_of.at(e.face));
+  for (const auto& e : g.lagged_out)
+    writes[static_cast<std::size_t>(e.u)].push_back(ref.slot_of.at(e.face));
+
+  std::vector<std::int32_t> got_seeds;
+  for (const auto& s : data.lagged_seed_slots()) got_seeds.push_back(s.ws_slot);
+  std::sort(seeds.begin(), seeds.end());
+  std::sort(got_seeds.begin(), got_seeds.end());
+  EXPECT_EQ(got_seeds, seeds);
+  bool any_lagged = !seeds.empty();
+  for (std::size_t v = 0; v < cells.size(); ++v) {
+    any_lagged = any_lagged || !writes[v].empty();
+    std::vector<std::int32_t> got;
+    data.for_lagged_writes(static_cast<std::int32_t>(v),
+                           [&](const sweep::LaggedSlot& s) {
+                             got.push_back(s.ws_slot);
+                           });
+    std::sort(got.begin(), got.end());
+    std::sort(writes[v].begin(), writes[v].end());
+    EXPECT_EQ(got, writes[v]) << "lagged writes of vertex " << v;
+  }
+  EXPECT_EQ(data.has_lagged(), any_lagged);
+}
+
+/// Build a plan and check every task of it against the map reference.
+template <class Mesh>
+void expect_plan_matches_reference(const sweep::SweepPlan& plan,
+                                   const Mesh& m, bool albedo) {
+  const auto& quad = plan.quadrature();
+  std::vector<graph::CycleCut> cuts;
+  for (int a = 0; a < quad.num_angles(); ++a)
+    cuts.push_back(graph::compute_cycle_cut(m, quad.angle(a).dir));
+  ASSERT_FALSE(plan.programs().empty());
+  for (const auto& prog : plan.programs()) {
+    const sweep::SweepTaskData& data = plan.task_data(prog.data_index);
+    const int a = data.angle().value();
+    const auto& cut = cuts[static_cast<std::size_t>(a)];
+    const graph::PatchTaskGraph g = graph::build_patch_task_graph(
+        m, plan.patches(), data.patch(), quad.angle(a).dir, data.angle(),
+        cut.empty() ? nullptr : &cut);
+    expect_matches_reference(data, g, m, plan.disc(), plan.patches(),
+                             quad.angle(a), albedo);
+  }
+}
+
+TEST(FaceSlotInterning, MatchesMapReferenceStructuredVacuum) {
+  const StructuredCase tc(8, 4);
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    const auto plan = sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
+                                              tc.disc, tc.quad);
+    expect_plan_matches_reference(*plan, tc.m, false);
+  });
+}
+
+TEST(FaceSlotInterning, MatchesMapReferenceStructuredAlbedo) {
+  // Albedo 1 on every side: each incoming boundary face is read through
+  // the interner (seeded from the mirror angle) and each outgoing one is
+  // staged through it.
+  const StructuredCase tc(8, 4, 0, sn::BoundarySpec::reflecting_all(1.0));
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    const auto plan = sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
+                                              tc.disc, tc.quad);
+    ASSERT_TRUE(plan->has_lagged());
+    expect_plan_matches_reference(*plan, tc.m, true);
+  });
+}
+
+TEST(FaceSlotInterning, MatchesMapReferenceTwistedCyclic) {
+  const CyclicCase tc;
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    sweep::PlanConfig pc;
+    pc.cycle_policy = sweep::CyclePolicy::Lag;
+    const auto plan = sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
+                                              tc.disc, tc.quad, pc);
+    ASSERT_TRUE(plan->has_cycles());
+    expect_plan_matches_reference(*plan, tc.m, false);
+  });
+}
+
+TEST(FaceSlotInterning, UntouchedFaceThrowsAndScratchRecovers) {
+  const StructuredCase tc;
+  const sn::Ordinate& ordinate = tc.quad.angle(0);
+  const auto task_graph = [&] {
+    return graph::build_patch_task_graph(tc.m, tc.ps, PatchId{0},
+                                         ordinate.dir, AngleId{0});
+  };
+  sweep::FaceSlotInterner interner;
+
+  // A remote-in face on the far corner of the mesh: no cell of patch 0
+  // touches it, so resolving it must fail with the existing message.
+  graph::PatchTaskGraph bad = task_graph();
+  const CellId far{tc.m.num_cells() - 1};
+  bad.remote_in.push_back(graph::RemoteInEdge{
+      tc.ps.patch_of(far), far.value(),
+      graph::structured_face_id(far, mesh::FaceDir::XHi), 0});
+  try {
+    const sweep::SweepTaskData data(std::move(bad),
+                                    graph::PriorityStrategy::SLBD, tc.disc,
+                                    tc.ps, ordinate, nullptr, nullptr,
+                                    &interner);
+    ADD_FAILURE() << "resolving an untouched face must throw";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("is not touched by any local cell"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // The failed task left entries in the scratch; the next task's reset()
+  // discards them, so the same interner builds the task again, slot for
+  // slot like the reference ...
+  const graph::PatchTaskGraph g = task_graph();
+  const sweep::SweepTaskData good(task_graph(),
+                                  graph::PriorityStrategy::SLBD, tc.disc,
+                                  tc.ps, ordinate, nullptr, nullptr,
+                                  &interner);
+  expect_matches_reference(good, g, tc.m, tc.disc, tc.ps, ordinate, false);
+  // ... and a whole plan builds afterwards.
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    EXPECT_NO_THROW((void)sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
+                                                  tc.disc, tc.quad));
+  });
 }
 
 }  // namespace
