@@ -20,8 +20,8 @@ using namespace jsweep;
 
 namespace {
 
-/// Sim-scale cousin of sweep::auto_tune: scan a few cluster-grain
-/// candidates around the fixed default and keep the fastest. The grain is
+/// Scan a few cluster-grain candidates around the fixed default on the
+/// simulator and keep the fastest. The grain is
 /// the knob that trades pipelining granularity (small grain = streams
 /// flow early, little idle) against per-chunk overhead, and the best
 /// point shifts with the core count — exactly what a static default

@@ -39,7 +39,6 @@
 #include "sn/source_iteration.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
-#include "sweep/autotune.hpp"
 #include "sweep/eigen.hpp"
 #include "sweep/session.hpp"
 #include "trace/chrome_export.hpp"
@@ -70,11 +69,7 @@ struct Options {
   int lag_sweeps = 1;
   double tolerance = 1e-6;
   int max_iterations = 200;
-  bool auto_tune = false;
-  int steal = -1;       // -1 auto, 0 off, 1 on
-  int steal_spin = -1;  // -1 auto, >= 0 forces
   int sched_seed = 0;
-  bool no_source_overlap = false;
   std::string vtk;
   std::string trace;
   std::string metrics;
@@ -122,18 +117,8 @@ void usage() {
                                   cut mesh (default 1)
   --tolerance=T                   source-iteration tolerance (default 1e-6)
   --max-iterations=K              source-iteration cap (default 200)
-  --auto-tune                     calibrate group-set width and steal/spin
-                                  knobs with a short measured grind on the
-                                  actual plan before solving (jsweep engine;
-                                  overrides --group-set)
-  --steal=0|1                     force work stealing between engine workers
-                                  off/on (default: plan tuning or on)
-  --steal-spin=N                  steal-spin rounds before a worker blocks
-                                  (default: plan tuning or 64)
   --sched-seed=S                  seed of the engine's deterministic
                                   scheduling tie-breaks (default 0)
-  --no-source-overlap             disable the multigroup source-tail overlap
-                                  (next-pass q formation on idle workers)
   --vtk=PATH                      write flux + material as legacy VTK
   --trace=PATH                    record the runs and write a Chrome trace
                                   (open in chrome://tracing or Perfetto)
@@ -266,13 +251,7 @@ std::optional<Options> parse(int argc, char** argv) {
     } else if (int_flag("--lag-sweeps", opt.lag_sweeps)) {
     } else if (double_flag("--tolerance", opt.tolerance)) {
     } else if (int_flag("--max-iterations", opt.max_iterations)) {
-    } else if (arg == "--auto-tune") {
-      opt.auto_tune = true;
-    } else if (int_flag("--steal", opt.steal)) {
-    } else if (int_flag("--steal-spin", opt.steal_spin)) {
     } else if (int_flag("--sched-seed", opt.sched_seed)) {
-    } else if (arg == "--no-source-overlap") {
-      opt.no_source_overlap = true;
     } else if (auto v = value("--vtk")) {
       opt.vtk = *v;
     } else if (auto v = value("--trace")) {
@@ -325,21 +304,6 @@ std::optional<Options> parse(int argc, char** argv) {
   if (opt.albedo != 0.0 && opt.mesh != "kobayashi") {
     std::fprintf(stderr, "--albedo needs the structured mesh "
                          "(--mesh=kobayashi); tet boundaries are vacuum\n");
-    return std::nullopt;
-  }
-  if (opt.k_eigenvalue && opt.auto_tune) {
-    std::fprintf(stderr,
-                 "--auto-tune is not supported with --k-eigenvalue\n");
-    return std::nullopt;
-  }
-  if (opt.steal < -1 || opt.steal > 1) {
-    std::fprintf(stderr, "--steal must be 0 or 1, got %d (try --help)\n",
-                 opt.steal);
-    return std::nullopt;
-  }
-  if (opt.auto_tune && opt.engine != "jsweep") {
-    std::fprintf(stderr, "--auto-tune calibrates the data-driven engine; "
-                         "use --engine=jsweep\n");
     return std::nullopt;
   }
   return opt;
@@ -446,11 +410,8 @@ int solve_k_eigen(const Options& opt, const Mesh& mesh, const Disc& disc,
                                 : sweep::EngineKind::DataDriven;
       solve_config.num_workers = opt.workers;
       solve_config.max_lag_sweeps = opt.lag_sweeps;
-      solve_config.work_stealing = opt.steal;
-      solve_config.steal_spin_rounds = opt.steal_spin;
       solve_config.scheduler_seed =
           static_cast<std::uint64_t>(opt.sched_seed);
-      solve_config.overlap_source_tail = !opt.no_source_overlap;
       const auto r =
           sweep::solve_k_eigenvalue(ctx, plan, local, fission, options,
                                     solve_config);
@@ -552,44 +513,21 @@ int solve_multigroup(const Options& opt, const Mesh& mesh, const Disc& disc,
       plan_config.group_set_width = opt.group_set;
       const auto owner =
           partition::assign_contiguous(patches.num_patches(), ctx.size());
-      const auto builder = [&](const sweep::PlanConfig& pc) {
-        return sweep::SweepPlan::build(ctx, mesh, patches, owner, disc, quad,
-                                       pc);
-      };
-      std::shared_ptr<const sweep::SweepPlan> plan;
-      sn::MultigroupOptions mg_run = mg;
-      if (opt.auto_tune) {
-        sweep::AutoTuneOptions at;
-        at.num_workers = opt.workers;
-        const auto tuned = sweep::auto_tune(ctx, plan_config, builder, at);
-        plan = tuned.plan;
-        // The session derives the width from its (tuned) plan.
-        mg_run.group_set_width = 1;
-        if (ctx.rank().value() == 0)
-          std::printf("auto-tune: group-set width %d, stealing %s, spin %d "
-                      "(%.3fs grind, %d candidates)\n",
-                      tuned.tuning.group_set_width,
-                      tuned.tuning.work_stealing ? "on" : "off",
-                      tuned.tuning.steal_spin_rounds, tuned.best_seconds,
-                      static_cast<int>(tuned.samples.size()));
-      } else {
-        plan = builder(plan_config);
-      }
+      const auto plan =
+          sweep::SweepPlan::build(ctx, mesh, patches, owner, disc, quad,
+                                  plan_config);
       sweep::SolveConfig solve_config;
       solve_config.engine = opt.engine == "bsp"
                                 ? sweep::EngineKind::Bsp
                                 : sweep::EngineKind::DataDriven;
       solve_config.num_workers = opt.workers;
       solve_config.max_lag_sweeps = opt.lag_sweeps;
-      solve_config.work_stealing = opt.steal;
-      solve_config.steal_spin_rounds = opt.steal_spin;
       solve_config.scheduler_seed =
           static_cast<std::uint64_t>(opt.sched_seed);
-      solve_config.overlap_source_tail = !opt.no_source_overlap;
       solve_config.trace.recorder = recorder ? &*recorder : nullptr;
       solve_config.metrics.registry = registry ? &*registry : nullptr;
       sweep::SweepSession session(ctx, plan, solve_config);
-      const auto r = session.solve_multigroup(mg_run);
+      const auto r = session.solve_multigroup(mg);
       if (ctx.rank().value() == 0) {
         result = r;
         solver_stats = session.stats();
@@ -748,36 +686,17 @@ int solve(const Options& opt, const Mesh& mesh, const Disc& disc,
       plan_config.cycle_policy = cycle_policy;
       const auto owner =
           partition::assign_contiguous(patches.num_patches(), ctx.size());
-      const auto builder = [&](const sweep::PlanConfig& pc) {
-        return sweep::SweepPlan::build(ctx, mesh, patches, owner, disc, quad,
-                                       pc);
-      };
-      std::shared_ptr<const sweep::SweepPlan> plan;
-      if (opt.auto_tune) {
-        sweep::AutoTuneOptions at;
-        at.num_workers = opt.workers;
-        const auto tuned = sweep::auto_tune(ctx, plan_config, builder, at);
-        plan = tuned.plan;
-        if (ctx.rank().value() == 0)
-          std::printf("auto-tune: stealing %s, spin %d (%.3fs grind, %d "
-                      "candidates)\n",
-                      tuned.tuning.work_stealing ? "on" : "off",
-                      tuned.tuning.steal_spin_rounds, tuned.best_seconds,
-                      static_cast<int>(tuned.samples.size()));
-      } else {
-        plan = builder(plan_config);
-      }
+      const auto plan =
+          sweep::SweepPlan::build(ctx, mesh, patches, owner, disc, quad,
+                                  plan_config);
       sweep::SolveConfig solve_config;
       solve_config.engine = opt.engine == "bsp"
                                 ? sweep::EngineKind::Bsp
                                 : sweep::EngineKind::DataDriven;
       solve_config.num_workers = opt.workers;
       solve_config.max_lag_sweeps = opt.lag_sweeps;
-      solve_config.work_stealing = opt.steal;
-      solve_config.steal_spin_rounds = opt.steal_spin;
       solve_config.scheduler_seed =
           static_cast<std::uint64_t>(opt.sched_seed);
-      solve_config.overlap_source_tail = !opt.no_source_overlap;
       solve_config.trace.recorder = recorder ? &*recorder : nullptr;
       solve_config.metrics.registry = registry ? &*registry : nullptr;
       sweep::SweepSession session(ctx, plan, solve_config);

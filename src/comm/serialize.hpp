@@ -93,7 +93,11 @@ class ByteReader {
   std::vector<T> read_vector() {
     static_assert(std::is_trivially_copyable_v<T>);
     const auto n = read<std::uint64_t>();
-    JSWEEP_CHECK(pos_ + n * sizeof(T) <= buf_.size());
+    // Divide rather than multiply: n * sizeof(T) can wrap.
+    JSWEEP_CHECK_MSG(n <= (buf_.size() - pos_) / sizeof(T),
+                     "ByteReader: " << n << " elements of " << sizeof(T)
+                                    << " bytes overrun at " << pos_ << "/"
+                                    << buf_.size());
     std::vector<T> v(n);
     if (n) std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
@@ -103,7 +107,9 @@ class ByteReader {
   /// Read a length-prefixed string written by write_string().
   std::string read_string() {
     const auto n = read<std::uint64_t>();
-    JSWEEP_CHECK(pos_ + n <= buf_.size());
+    JSWEEP_CHECK_MSG(n <= buf_.size() - pos_,
+                     "ByteReader: " << n << "-byte string overruns at "
+                                    << pos_ << "/" << buf_.size());
     std::string s(reinterpret_cast<const char*>(buf_.data() + pos_), n);
     pos_ += n;
     return s;

@@ -1,11 +1,8 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <climits>
 #include <condition_variable>
-#include <cstdlib>
 #include <thread>
 
 #include "metrics/metrics.hpp"
@@ -20,7 +17,11 @@ namespace {
 /// Idle waits shorter than this are not worth a trace event.
 constexpr std::int64_t kMinTracedIdleNs = 1000;
 
-/// Timed-block quantum for stealing workers: long enough to keep the cv
+/// Empty steal-scan rounds an idle worker spins through (yielding between
+/// rounds) before it falls back to a timed block on its condition variable.
+constexpr int kStealSpinRounds = 64;
+
+/// Timed-block quantum for idle workers: long enough to keep the cv
 /// cheap, short enough that a worker re-scans for stealable work soon even
 /// if it missed a notify aimed at another worker.
 constexpr auto kStealBlockQuantum = std::chrono::microseconds(100);
@@ -32,24 +33,6 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// Environment override for an integer-valued engine knob in [lo, hi];
-/// returns `fallback` when the variable is unset or empty. Anything other
-/// than a whole decimal integer in range (no trailing characters) throws
-/// a CheckError naming the variable, instead of silently reading as 0.
-int env_int(const char* name, int fallback, long lo, long hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  errno = 0;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  JSWEEP_CHECK_MSG(end != v && *end == '\0' && errno != ERANGE &&
-                       parsed >= lo && parsed <= hi,
-                   "environment variable " << name << "='" << v
-                                           << "' must be an integer in ["
-                                           << lo << ", " << hi << "]");
-  return static_cast<int>(parsed);
 }
 
 }  // namespace
@@ -143,14 +126,6 @@ Engine::Engine(comm::Context& ctx, EngineConfig config)
     : ctx_(ctx), config_(config) {
   JSWEEP_CHECK_MSG(config_.num_workers >= 1,
                    "engine needs at least one worker thread");
-  // Runtime knobs get the final say, so CI and operators can force a
-  // scheduling mode without touching call sites.
-  config_.work_stealing =
-      env_int("JSWEEP_WORK_STEALING", config_.work_stealing ? 1 : 0, 0, 1) !=
-      0;
-  config_.steal_spin_rounds = std::max(
-      0,
-      env_int("JSWEEP_STEAL_SPIN", config_.steal_spin_rounds, 0, INT_MAX));
   remote_staging_.resize(static_cast<std::size_t>(ctx_.size()));
   if (metrics::Registry* reg = config_.metrics; reg != nullptr) {
     const metrics::Labels rank{{"rank", std::to_string(ctx_.rank().value())}};
@@ -305,32 +280,23 @@ Engine::ProgramState* Engine::try_steal(Worker& w) {
 }
 
 Engine::ProgramState* Engine::acquire_work(Worker& w) {
-  const bool stealing = config_.work_stealing && workers_.size() > 1;
   for (;;) {
-    if (stealing) {
-      // Bounded spin: scan for stealable work while any queue is
-      // non-empty, up to the configured round budget, then block.
-      for (int round = 0; round < config_.steal_spin_rounds; ++round) {
-        if (w.stop.load(std::memory_order_relaxed)) break;
-        if (queued_total_.load(std::memory_order_acquire) > 0) {
-          if (ProgramState* ps = try_steal(w)) return ps;
-        }
-        std::this_thread::yield();
+    // Bounded spin: scan for stealable work while any queue is non-empty,
+    // up to the round budget, then block.
+    for (int round = 0; round < kStealSpinRounds; ++round) {
+      if (w.stop.load(std::memory_order_relaxed)) break;
+      if (queued_total_.load(std::memory_order_acquire) > 0) {
+        if (ProgramState* ps = try_steal(w)) return ps;
       }
+      std::this_thread::yield();
     }
     std::unique_lock<std::mutex> lock(w.mutex);
     if (!w.queue.empty()) return take_local(w);
     if (w.stop.load(std::memory_order_relaxed)) return nullptr;
-    if (stealing) {
-      // Timed block: a notify targeted at another worker (or a missed
-      // spin window) must not strand this one while work exists, so wake
-      // periodically and re-run the steal scan.
-      w.cv.wait_for(lock, kStealBlockQuantum);
-    } else {
-      w.cv.wait(lock, [&] {
-        return w.stop.load(std::memory_order_relaxed) || !w.queue.empty();
-      });
-    }
+    // Timed block: a notify targeted at another worker (or a missed spin
+    // window) must not strand this one while work exists, so wake
+    // periodically and re-run the steal scan.
+    w.cv.wait_for(lock, kStealBlockQuantum);
     if (!w.queue.empty()) return take_local(w);
     if (w.stop.load(std::memory_order_relaxed)) return nullptr;
   }

@@ -52,6 +52,9 @@ GroupPipeline::GroupPipeline(
   phi_groups_.assign(
       static_cast<std::size_t>(xs_.groups()),
       std::vector<double>(static_cast<std::size_t>(ps_.num_cells()), 0.0));
+  next_q_.assign(
+      static_cast<std::size_t>(xs_.groups()),
+      std::vector<double>(static_cast<std::size_t>(ps_.num_cells()), 0.0));
 }
 
 std::size_t GroupPipeline::local_index(PatchId p) const {
@@ -162,21 +165,19 @@ void GroupPipeline::on_program_complete(PatchId p, GroupId set,
   //     idempotent (the last engine run's φ — the committed one — wins).
   //     The per-cell order (emission, then `from` ascending) matches the
   //     serial formation in solve_multigroup_sweeps bitwise.
-  if (overlap_) {
-    for (int l = 0; l < ws; ++l) {
-      const int g = base + l;
-      auto& nq = next_q_[static_cast<std::size_t>(g)];
-      const auto& phi_g = phi_groups_[static_cast<std::size_t>(g)];
-      for (std::size_t v = 0; v < cells.size(); ++v) {
-        const std::int64_t c = cells[v].value();
-        const auto ci = static_cast<std::size_t>(c);
-        nq[ci] = (xs_.sigma_s(g, g, c) * phi_g[ci] + xs_.source(g, c)) *
-                 sn::kInvFourPi;
-        for (int from = base; from < g; ++from)
-          nq[ci] += sn::inscatter_term(
-              xs_, from, g, c,
-              phi_groups_[static_cast<std::size_t>(from)][ci]);
-      }
+  for (int l = 0; l < ws; ++l) {
+    const int g = base + l;
+    auto& nq = next_q_[static_cast<std::size_t>(g)];
+    const auto& phi_g = phi_groups_[static_cast<std::size_t>(g)];
+    for (std::size_t v = 0; v < cells.size(); ++v) {
+      const std::int64_t c = cells[v].value();
+      const auto ci = static_cast<std::size_t>(c);
+      nq[ci] = (xs_.sigma_s(g, g, c) * phi_g[ci] + xs_.source(g, c)) *
+               sn::kInvFourPi;
+      for (int from = base; from < g; ++from)
+        nq[ci] += sn::inscatter_term(
+            xs_, from, g, c,
+            phi_groups_[static_cast<std::size_t>(from)][ci]);
     }
   }
   if (sv + 1 >= num_sets_) return;
@@ -217,14 +218,6 @@ void GroupPipeline::on_program_complete(PatchId p, GroupId set,
     emit_seconds_[slot + 1] = metrics_->now_seconds();
     metric_activations_->inc(num_angles_);
   }
-}
-
-void GroupPipeline::enable_source_overlap() {
-  if (overlap_) return;
-  overlap_ = true;
-  next_q_.assign(
-      static_cast<std::size_t>(xs_.groups()),
-      std::vector<double>(static_cast<std::size_t>(ps_.num_cells()), 0.0));
 }
 
 void GroupPipeline::set_metrics(metrics::Registry* registry, int rank) {

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,18 +50,6 @@ enum class CyclePolicy {
 [[nodiscard]] std::string to_string(CyclePolicy p);
 /// Inverse of to_string(CyclePolicy); throws CheckError on unknown names.
 [[nodiscard]] CyclePolicy cycle_policy_from_string(const std::string& name);
-
-/// Calibrated scheduling knobs a plan carries for the sessions executing
-/// it — the auto-tuner's output (sweep/autotune.hpp). Sessions resolve
-/// their SolveConfig's "auto" (-1) knobs against this; explicit SolveConfig
-/// values and the JSWEEP_* environment overrides still win.
-struct PlanTuning {
-  /// Group-set width the tuner selected (informational once the plan is
-  /// built — the width is structural and fixed at build time).
-  int group_set_width = 1;
-  bool work_stealing = true;  ///< steal between engine workers
-  int steal_spin_rounds = 64;  ///< spin budget before a worker blocks
-};
 
 /// The structure-determining knobs of a plan — everything that shapes the
 /// immutable task system. Execution-time knobs (engine choice, workers,
@@ -97,12 +84,6 @@ struct PlanConfig {
   /// the classic per-group system, bitwise unchanged. Requires multigroup;
   /// 1 <= W <= sn::kMaxGroupSetWidth.
   int group_set_width = 1;
-  /// Calibrated scheduling knobs (normally the auto-tuner's pick,
-  /// sweep/autotune.hpp) that sessions resolve their "auto" SolveConfig
-  /// knobs against. Scheduling-only — does not shape the task system, but
-  /// rides on the plan so every session of a tuned plan inherits the
-  /// calibration. nullopt = untuned (engine defaults apply).
-  std::optional<PlanTuning> tuning;
 };
 
 /// Where one SweepPlan::build spent its time, stage by stage, and what its

@@ -63,7 +63,6 @@ SweepSession::SweepSession(comm::Context& ctx,
         lane_ * plan_->tags_per_request());
     pipeline_->register_patches(plan_->local_patches());
     pipeline_->set_metrics(config_.metrics.registry, ctx_.rank().value());
-    if (config_.overlap_source_tail) pipeline_->enable_source_overlap();
     shared_.pipeline = pipeline_.get();
   }
 
@@ -104,25 +103,6 @@ SweepSession::SweepSession(comm::Context& ctx,
 
 SweepSession::~SweepSession() = default;
 
-void SweepSession::apply_scheduling(core::EngineConfig& ec) const {
-  // Resolution order: explicit SolveConfig > plan tuning (the auto-tuner's
-  // calibration) > the engine default. The JSWEEP_WORK_STEALING /
-  // JSWEEP_STEAL_SPIN environment overrides are applied by the engine
-  // itself and outrank all three.
-  const auto& tuning = plan_->config().tuning;
-  if (config_.work_stealing >= 0) {
-    ec.work_stealing = config_.work_stealing != 0;
-  } else if (tuning.has_value()) {
-    ec.work_stealing = tuning->work_stealing;
-  }
-  if (config_.steal_spin_rounds >= 0) {
-    ec.steal_spin_rounds = config_.steal_spin_rounds;
-  } else if (tuning.has_value()) {
-    ec.steal_spin_rounds = tuning->steal_spin_rounds;
-  }
-  ec.scheduler_seed = config_.scheduler_seed;
-}
-
 void SweepSession::install_programs() {
   core::Engine* target = host_;
   if (host_ == nullptr) {
@@ -132,7 +112,7 @@ void SweepSession::install_programs() {
       ec.termination = core::TerminationMode::KnownWorkload;
       ec.recorder = config_.trace.recorder;
       ec.metrics = config_.metrics.registry;
-      apply_scheduling(ec);
+      ec.scheduler_seed = config_.scheduler_seed;
       engine_ = std::make_unique<core::Engine>(ctx_, ec);
       target = engine_.get();
       shared_.stream_buffers = &engine_->buffer_pool();
@@ -392,7 +372,7 @@ void SweepSession::multigroup_pass(
     // The gate completions of this pass precomputed the next pass's base
     // sources (source-tail overlap) — arm the q_base provider for the
     // solver's next formation step.
-    next_q_armed_ = pipeline_->source_overlap_enabled();
+    next_q_armed_ = true;
   }
   ++stats_.multigroup_passes;
   stats_.sweeps += G;
@@ -428,8 +408,7 @@ sn::MultigroupResult SweepSession::solve_multigroup(
   // Source-tail overlap: serve precomputed q_base parts once a pipelined
   // pass has run (the first pass of a solve always forms serially).
   next_q_armed_ = false;
-  if (pipeline_ != nullptr && pipeline_->source_overlap_enabled() &&
-      options.q_base_provider == nullptr) {
+  if (pipeline_ != nullptr && options.q_base_provider == nullptr) {
     opts.q_base_provider = [this](int g, std::vector<double>& q) {
       if (!next_q_armed_) return false;
       q = pipeline_->next_pass_q(GroupId{g});

@@ -74,22 +74,9 @@ struct SolveConfig {
   /// outer source iteration absorbs the lag error).
   int max_lag_sweeps = 1;
   double lag_tolerance = 0.0;  ///< stop the lag loop below this residual
-  /// Work stealing between the data-driven engine's workers: -1 resolves
-  /// plan tuning (PlanConfig::tuning) if present, else the engine default
-  /// (on); 0 forces off; 1 forces on. JSWEEP_WORK_STEALING still has the
-  /// final say (core::EngineConfig).
-  int work_stealing = -1;
-  /// Steal-spin rounds before a worker blocks: -1 resolves plan tuning /
-  /// the engine default (64); >= 0 forces. JSWEEP_STEAL_SPIN overrides.
-  int steal_spin_rounds = -1;
   /// Seed of the engine's deterministic scheduling tie-breaks (owner
   /// assignment rotation, steal-victim order).
   std::uint64_t scheduler_seed = 0;
-  /// Group-pipelined multigroup solves: precompute the next pass's base
-  /// sources on workers while the current sweep's tail drains (the
-  /// source-tail overlap, bitwise-neutral). Off = serial formation
-  /// between passes, the pre-overlap behavior.
-  bool overlap_source_tail = true;
   /// Runtime tracing (off unless a recorder is supplied).
   TraceConfig trace;
   /// Live metrics (off unless a registry is supplied).
@@ -215,9 +202,6 @@ class SweepSession {
   SweepSession(comm::Context& ctx, std::shared_ptr<const SweepPlan> plan,
                SolveConfig config, core::Engine* host, int lane);
 
-  /// Resolve the steal/spin/seed knobs into an engine config (explicit
-  /// SolveConfig > plan tuning > engine default; env still overrides).
-  void apply_scheduling(core::EngineConfig& ec) const;
   void install_programs();
   void collect_phi(std::vector<double>& phi_global) const;
   /// Exactly one engine (or BSP) run; updates the engine stats.

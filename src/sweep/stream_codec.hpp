@@ -20,9 +20,10 @@
 /// i.e. an 8-byte count header followed by `count` packed 24-byte
 /// StreamItem records (the struct is trivially copyable and memcpy'd
 /// whole). item_count() validates the framing: a payload is well-formed
-/// iff size == 8 + 24·count. A zero-length payload is NOT a valid codec
-/// payload — the engines reserve empty stream data for the multigroup
-/// activation markers, which never reach the codec.
+/// iff size == 8 + 24·count, checked by division so that no count can wrap
+/// the product. A zero-length payload is NOT a valid codec payload — the
+/// engines reserve empty stream data for the multigroup activation
+/// markers, which never reach the codec.
 ///
 /// The hot path never materializes item vectors: encode_items_into() fills
 /// a (pooled) byte buffer in place and for_each_item() iterates the payload
@@ -71,8 +72,9 @@ inline std::size_t item_count(const comm::Bytes& bytes) {
                    "stream payload truncated: " << bytes.size() << " bytes");
   std::uint64_t count = 0;
   std::memcpy(&count, bytes.data(), sizeof(count));
+  const std::size_t body = bytes.size() - sizeof(count);
   JSWEEP_CHECK_MSG(
-      bytes.size() == sizeof(count) + count * sizeof(StreamItem),
+      body % sizeof(StreamItem) == 0 && body / sizeof(StreamItem) == count,
       "stream payload size mismatch: " << bytes.size() << " bytes for "
                                        << count << " items");
   return static_cast<std::size_t>(count);
@@ -162,8 +164,10 @@ inline std::size_t set_item_count(const comm::Bytes& bytes, int width) {
                                                     << " bytes");
   std::uint64_t count = 0;
   std::memcpy(&count, bytes.data(), sizeof(count));
+  const std::size_t body = bytes.size() - sizeof(count);
+  const std::size_t rec = set_record_size(width);
   JSWEEP_CHECK_MSG(
-      bytes.size() == sizeof(count) + count * set_record_size(width),
+      body % rec == 0 && body / rec == count,
       "set stream payload size mismatch: " << bytes.size() << " bytes for "
                                            << count << " records at width "
                                            << width);

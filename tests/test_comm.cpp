@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
 
 #include "comm/cluster.hpp"
@@ -12,6 +13,7 @@
 #include "core/stream.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "sweep/stream_codec.hpp"
 
 namespace jsweep::comm {
 namespace {
@@ -161,6 +163,140 @@ TEST(StreamCodec, TruncatedWireThrows) {
   Bytes wire = core::pack_streams({make_stream(0, 1, 0, 64)});
   wire.resize(wire.size() / 2);
   EXPECT_THROW(core::unpack_streams(wire), CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// Malformed wire bytes: every reader of an untrusted payload must reject a
+// frame whose length fields disagree with its size by throwing CheckError —
+// never by reading past the buffer or failing an oversized allocation.
+// ---------------------------------------------------------------------------
+
+/// Overwrite the leading `Count` length field of `b` (resizing to fit).
+template <class Count>
+Bytes with_count(Bytes b, Count count) {
+  if (b.size() < sizeof(count)) b.resize(sizeof(count));
+  std::memcpy(b.data(), &count, sizeof(count));
+  return b;
+}
+
+/// Append `n` random bytes to `b`.
+void append_random(Rng& rng, Bytes& b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    b.push_back(static_cast<std::byte>(rng() & 0xff));
+}
+
+/// The first [0, limit) bytes of `b`, length drawn at random.
+Bytes prefix(Rng& rng, const Bytes& b, std::size_t limit) {
+  const auto n = static_cast<std::ptrdiff_t>(rng.below(limit));
+  return Bytes(b.begin(), b.begin() + n);
+}
+
+/// `b` with 1 to rec - 1 random bytes appended: no longer a whole number of
+/// `rec`-byte records.
+Bytes misaligned(Rng& rng, Bytes b, std::size_t rec) {
+  append_random(rng, b, 1 + rng.below(rec - 1));
+  return b;
+}
+
+/// A count whose product with any record size that is a multiple of 8
+/// wraps a 64-bit size_t back to `count` records: count + m·2^61, m ≥ 1.
+std::uint64_t wrapped(Rng& rng, std::uint64_t count) {
+  return count + ((1 + rng.below(7)) << 61);
+}
+
+/// A length that, added to read offset `pos`, wraps to j < 8.
+std::uint64_t wrapping_length(Rng& rng, std::size_t pos) {
+  return ~std::uint64_t{0} - pos + 1 + rng.below(8);
+}
+
+TEST(WireFraming, MalformedPayloadsThrowCheckError) {
+  Rng rng(0x5eedf00d);
+  for (int trial = 0; trial < 64; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    const std::uint64_t k = rng.below(6);
+
+    // Sweep item payloads: 8-byte count + k 24-byte records.
+    std::vector<sweep::StreamItem> items(k);
+    for (auto& it : items)
+      it = {static_cast<std::int64_t>(rng.below(1000)),
+            static_cast<std::int64_t>(rng.below(1000)), rng.uniform()};
+    const Bytes items_wire = sweep::encode_items(items);
+    const std::size_t item_rec = sizeof(sweep::StreamItem);
+    ASSERT_EQ(sweep::item_count(items_wire), k);
+    const std::vector<Bytes> bad_items{
+        prefix(rng, items_wire, items_wire.size()),
+        with_count(items_wire, k + 1 + rng.below(9)),
+        with_count(items_wire, wrapped(rng, k)),
+        misaligned(rng, items_wire, item_rec)};
+    for (const Bytes& bad : bad_items)
+      EXPECT_THROW((void)sweep::item_count(bad), CheckError);
+
+    // Group-set payloads: 8-byte count + k (16 + 8W)-byte records.
+    const int width = 1 + static_cast<int>(rng.below(8));
+    const std::vector<sweep::SetStreamRecord> records(k, {1, 2});
+    const std::vector<double> lanes(k * static_cast<std::size_t>(width), 0.5);
+    Bytes set_wire;
+    sweep::encode_set_items_into(records, lanes, width, set_wire);
+    const std::size_t set_rec = sweep::set_record_size(width);
+    ASSERT_EQ(sweep::set_item_count(set_wire, width), k);
+    const std::vector<Bytes> bad_sets{
+        prefix(rng, set_wire, set_wire.size()),
+        with_count(set_wire, k + 1 + rng.below(9)),
+        with_count(set_wire, wrapped(rng, k)),
+        misaligned(rng, set_wire, set_rec)};
+    for (const Bytes& bad : bad_sets)
+      EXPECT_THROW((void)sweep::set_item_count(bad, width), CheckError);
+
+    // Length-prefixed vectors and strings: k doubles plus < 8 slack bytes.
+    const std::size_t body = k * sizeof(double) + rng.below(8);
+    Bytes prefixed;
+    append_random(rng, prefixed, sizeof(std::uint64_t) + body);
+    prefixed = with_count(std::move(prefixed), k);
+    ASSERT_EQ(ByteReader(prefixed).read_vector<double>().size(), k);
+    const std::size_t k_doubles = sizeof(std::uint64_t) + k * sizeof(double);
+    const std::vector<Bytes> bad_vectors{
+        prefix(rng, prefixed, k_doubles),
+        with_count(prefixed, k + 1 + rng.below(9)),
+        with_count(prefixed, wrapped(rng, k))};
+    for (const Bytes& bad : bad_vectors)
+      EXPECT_THROW((void)ByteReader(bad).read_vector<double>(), CheckError);
+    const std::vector<Bytes> bad_strings{
+        with_count(prefixed, body + 1 + rng.below(9)),
+        with_count(prefixed, wrapping_length(rng, sizeof(std::uint64_t)))};
+    for (const Bytes& bad : bad_strings)
+      EXPECT_THROW((void)ByteReader(bad).read_string(), CheckError);
+
+    // Stream batches: 4-byte count + k streams, each carrying a
+    // length-prefixed byte payload.
+    std::vector<core::Stream> batch;
+    for (std::uint64_t i = 0; i < k; ++i)
+      batch.push_back(
+          make_stream(static_cast<std::int32_t>(i), 1, 0, rng.below(40)));
+    const Bytes batch_wire = core::pack_streams(batch);
+    ASSERT_EQ(core::unpack_streams(batch_wire).size(), k);
+    // One stream more than the batch holds, followed by too few bytes for
+    // even its header.
+    Bytes short_tail =
+        with_count(batch_wire, static_cast<std::uint32_t>(k + 1));
+    append_random(rng, short_tail, 1 + rng.below(31));
+    std::vector<Bytes> bad_batches{
+        prefix(rng, batch_wire, batch_wire.size()),
+        // Must be rejected before anything is reserved for it.
+        with_count(batch_wire, static_cast<std::uint32_t>(~0U - rng.below(16))),
+        short_tail};
+    if (k > 0) {
+      // The last stream's payload length wraps the read offset.
+      const std::size_t len_at =
+          batch_wire.size() - batch.back().data.size() - sizeof(std::uint64_t);
+      const std::uint64_t len =
+          wrapping_length(rng, len_at + sizeof(std::uint64_t));
+      Bytes bad = batch_wire;
+      std::memcpy(bad.data() + len_at, &len, sizeof(len));
+      bad_batches.push_back(std::move(bad));
+    }
+    for (const Bytes& bad : bad_batches)
+      EXPECT_THROW((void)core::unpack_streams(bad), CheckError);
+  }
 }
 
 TEST(Cluster, PingPong) {

@@ -177,7 +177,7 @@ sweep::EigenResult run_parallel_eigen(
     const sn::BoundarySpec& bc, int blocks, int ranks,
     const sweep::EigenOptions& options, sweep::EngineKind kind,
     bool pipelined = true, std::uint64_t scheduler_seed = 0,
-    int work_stealing = -1) {
+    int workers = 2) {
   sweep::EigenResult out;
   const partition::CsrGraph cg = partition::cell_graph(m);
   const partition::PatchSet ps = make_patches(m, cg, blocks);
@@ -195,7 +195,7 @@ sweep::EigenResult run_parallel_eigen(
     sweep::SolveConfig sc;
     sc.engine = kind;
     sc.scheduler_seed = scheduler_seed;
-    sc.work_stealing = work_stealing;
+    sc.num_workers = workers;
     const auto result =
         sweep::solve_k_eigenvalue(ctx, plan, xs, fission, options, sc);
     if (ctx.rank().value() == 0) out = result;
@@ -443,9 +443,9 @@ TEST(Eigen, CrossEngineKeffBitwise) {
 }
 
 TEST(Eigen, SchedulePerturbationInvariance) {
-  // Eight scheduler seeds × work stealing forced on/off: the eigenvalue
-  // solve (reflecting boundaries, two groups) is bitwise invariant under
-  // every schedule perturbation.
+  // Eight scheduler seeds × one or three workers: the eigenvalue solve
+  // (reflecting boundaries, two groups) is bitwise invariant under every
+  // schedule perturbation.
   const mesh::StructuredMesh m = mesh::make_cube_mesh(4, 4.0);
   TwoGroupCore core(m.num_cells());
   sn::BoundarySpec bc;
@@ -459,22 +459,22 @@ TEST(Eigen, SchedulePerturbationInvariance) {
                          sweep::EngineKind::DataDriven);
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 5ULL, 8ULL, 13ULL,
                                    21ULL, 0xdeadbeefULL}) {
-    for (const int stealing : {0, 1}) {
+    for (const int workers : {1, 3}) {
       SCOPED_TRACE(testing::Message()
-                   << "seed " << seed << " stealing " << stealing);
+                   << "seed " << seed << " workers " << workers);
       expect_bitwise_equal(
           reference,
           run_parallel_eigen(m, core.xs, core.fission, quad, bc, 2, 1,
                              options, sweep::EngineKind::DataDriven,
-                             /*pipelined=*/true, seed, stealing),
+                             /*pipelined=*/true, seed, workers),
           "perturbed schedule");
     }
   }
 }
 
 TEST(Boundary, ReflectingFixedSourceSchedulePerturbationInvariance) {
-  // The same eight-seed × stealing sweep over a fixed-source solve with
-  // reflecting boundaries: three successive sweeps, all bitwise equal.
+  // The same eight-seed × worker-count sweep over a fixed-source solve
+  // with reflecting boundaries: three successive sweeps, all bitwise equal.
   const mesh::StructuredMesh m = mesh::make_cube_mesh(4, 4.0);
   sn::CellXs xs;
   const auto n = static_cast<std::size_t>(m.num_cells());
@@ -490,14 +490,14 @@ TEST(Boundary, ReflectingFixedSourceSchedulePerturbationInvariance) {
   const partition::CsrGraph cg = partition::cell_graph(m);
   const partition::PatchSet ps = make_patches(m, cg, 2);
 
-  const auto run = [&](std::uint64_t seed, int stealing) {
+  const auto run = [&](std::uint64_t seed, int workers) {
     std::vector<std::vector<double>> phis;
     comm::Cluster::run(1, [&](comm::Context& ctx) {
       sweep::PlanConfig plan_config;
       plan_config.cluster_grain = 8;
       sweep::SolveConfig solve_config;
       solve_config.scheduler_seed = seed;
-      solve_config.work_stealing = stealing;
+      solve_config.num_workers = workers;
       const auto owner = partition::assign_contiguous(ps.num_patches(), 1);
       sweep::SweepSession session(
           ctx,
@@ -508,16 +508,16 @@ TEST(Boundary, ReflectingFixedSourceSchedulePerturbationInvariance) {
     return phis;
   };
 
-  const auto reference = run(0, -1);
+  const auto reference = run(0, 2);
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 5ULL, 8ULL, 13ULL,
                                    21ULL, 0xfeedfaceULL}) {
-    for (const int stealing : {0, 1}) {
-      const auto phis = run(seed, stealing);
+    for (const int workers : {1, 3}) {
+      const auto phis = run(seed, workers);
       ASSERT_EQ(phis.size(), reference.size());
       for (std::size_t k = 0; k < reference.size(); ++k)
         for (std::size_t c = 0; c < reference[k].size(); ++c)
           ASSERT_EQ(phis[k][c], reference[k][c])
-              << "seed " << seed << " stealing " << stealing << " sweep "
+              << "seed " << seed << " workers " << workers << " sweep "
               << k << " cell " << c;
     }
   }

@@ -4,11 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <optional>
-#include <string>
 
 #include "comm/cluster.hpp"
 #include "core/bsp_engine.hpp"
@@ -195,75 +193,6 @@ void run_chain(int ranks, int workers, int patches) {
 TEST(Engine, ChainSingleRank) { run_chain(1, 2, 10); }
 TEST(Engine, ChainMultiRank) { run_chain(4, 2, 23); }
 TEST(Engine, ChainManyWorkers) { run_chain(2, 6, 40); }
-
-/// Sets an environment variable for one scope, then restores the previous
-/// value (or its absence), so a CI-level override survives the test.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (old_)
-      ::setenv(name_, old_->c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
-
-TEST(Engine, MalformedEnvironmentOverridesAreRejected) {
-  const auto expect_rejected = [](const char* name, const char* value) {
-    const ScopedEnv env(name, value);
-    comm::Cluster::run(1, [&](comm::Context& ctx) {
-      try {
-        const Engine engine(ctx, {2, TerminationMode::KnownWorkload});
-        ADD_FAILURE() << name << "=" << value << " was accepted";
-      } catch (const CheckError& e) {
-        EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
-            << "message must name the variable: " << e.what();
-      }
-    });
-  };
-  expect_rejected("JSWEEP_WORK_STEALING", "yes");
-  expect_rejected("JSWEEP_WORK_STEALING", "2");
-  expect_rejected("JSWEEP_WORK_STEALING", "1x");
-  expect_rejected("JSWEEP_STEAL_SPIN", "abc");
-  expect_rejected("JSWEEP_STEAL_SPIN", "-1");
-  expect_rejected("JSWEEP_STEAL_SPIN", "99999999999999999999");
-}
-
-TEST(Engine, WellFormedEnvironmentOverridesApply) {
-  const ScopedEnv spin("JSWEEP_STEAL_SPIN", "8");
-  const ScopedEnv stealing("JSWEEP_WORK_STEALING", "0");
-  comm::Cluster::run(1, [](comm::Context& ctx) {
-    // The override beats EngineConfig::work_stealing = true: no worker
-    // ever scans for stealable work.
-    Engine engine(ctx, {2, TerminationMode::KnownWorkload});
-    constexpr int kPatches = 8;
-    for (int p = 0; p < kPatches; ++p) {
-      TestDagProgram::Vertex v;
-      v.initial_count = p == 0 ? 0 : 1;
-      if (p + 1 < kPatches) v.remote_out.emplace_back(p + 1, 0);
-      engine.add_program(std::make_unique<TestDagProgram>(
-                             PatchId{p}, TaskTag{0},
-                             std::vector<TestDagProgram::Vertex>{v}),
-                         0.0, /*initially_active=*/p == 0);
-    }
-    engine.set_routes(std::vector<RankId>(kPatches, RankId{0}));
-    for (int run = 0; run < 3; ++run) {  // workers persist across runs
-      engine.run();
-      EXPECT_EQ(engine.stats().executions, kPatches);
-      EXPECT_EQ(engine.stats().steal_attempts, 0);
-    }
-  });
-}
 
 TEST(Engine, ZigZagPartialComputationNoDeadlock) {
   // Fig. 4 of the paper: interleaved dependencies between two patches force
@@ -493,7 +422,6 @@ TEST(Engine, StealStormEveryProgramExecutesOnce) {
     constexpr int kWorkers = 4;
     constexpr int kPrograms = 256;
     EngineConfig cfg{kWorkers, TerminationMode::KnownWorkload};
-    cfg.steal_spin_rounds = 128;
     cfg.scheduler_seed = 7;
     Engine engine(ctx, cfg);
     TestDagProgram::Log log;
@@ -574,7 +502,6 @@ TEST(Engine, ParallelChainsStreamDeliveryRacesSteals) {
     constexpr int kLen = 9;
     constexpr int kPatches = kChains * kLen;
     EngineConfig cfg{kWorkers, TerminationMode::KnownWorkload};
-    cfg.steal_spin_rounds = 256;
     cfg.scheduler_seed = 42;
     Engine engine(ctx, cfg);
     TestDagProgram::Log log;

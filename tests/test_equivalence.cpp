@@ -715,7 +715,7 @@ TEST(Equivalence, RandomizedBoundaryStressHarness) {
     const std::uint64_t seed_a = rng();
     const std::uint64_t seed_b = rng();
 
-    const auto run = [&](std::uint64_t seed, int stealing) {
+    const auto run = [&](std::uint64_t seed, int workers) {
       std::vector<std::vector<double>> phi;
       comm::Cluster::run(ranks, [&](comm::Context& ctx) {
         sweep::PlanConfig plan_config;
@@ -726,7 +726,7 @@ TEST(Equivalence, RandomizedBoundaryStressHarness) {
         sweep::SolveConfig solve_config;
         solve_config.engine = kind;
         solve_config.scheduler_seed = seed;
-        solve_config.work_stealing = stealing;
+        solve_config.num_workers = workers;
         const auto owner =
             partition::assign_contiguous(ps.num_patches(), ctx.size());
         sweep::SweepSession session(
@@ -740,7 +740,7 @@ TEST(Equivalence, RandomizedBoundaryStressHarness) {
       return phi;
     };
 
-    const auto phi = run(seed_a, -1);
+    const auto phi = run(seed_a, 1);
     ASSERT_EQ(phi.size(), reference.phi.size());
     for (std::size_t g = 0; g < phi.size(); ++g)
       for (std::size_t c = 0; c < phi[g].size(); ++c)
@@ -748,9 +748,9 @@ TEST(Equivalence, RandomizedBoundaryStressHarness) {
                     kTol * (1.0 + std::abs(reference.phi[g][c])))
             << "group " << g << " cell " << c;
 
-    // Schedule perturbation: a different scheduler seed with work
-    // stealing forced on must be bitwise identical.
-    const auto phi_perturbed = run(seed_b, 1);
+    // Schedule perturbation: a different scheduler seed on three workers
+    // must be bitwise identical.
+    const auto phi_perturbed = run(seed_b, 3);
     for (std::size_t g = 0; g < phi.size(); ++g)
       for (std::size_t c = 0; c < phi[g].size(); ++c)
         ASSERT_EQ(phi[g][c], phi_perturbed[g][c])
