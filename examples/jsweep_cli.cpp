@@ -126,6 +126,8 @@ void usage() {
                                   write a snapshot: Prometheus text, or
                                   JSON when PATH ends in .json
   --profile                       print critical-path + busy/idle breakdown
+                                  and rank 0's plan-build stages (with
+                                  --k-eigenvalue: the plan stages only)
   --help                          this text
 )");
 }
@@ -139,6 +141,7 @@ void print_plan_stages(const sweep::SweepPlan& plan) {
     cell_angles += static_cast<std::int64_t>(plan.patches().cells(p).size()) *
                    plan.num_angles();
   std::printf("plan build: %.4fs\n", plan.build_seconds());
+  std::printf("  plan lanes %d\n", st.lanes);
   std::printf("  plan stage cycle_cut    %.4fs\n", st.cycle_cut_seconds);
   std::printf("  plan stage patch_graph  %.4fs\n", st.patch_graph_seconds);
   std::printf("  plan stage task_graphs  %.4fs\n", st.task_graph_seconds);
@@ -368,12 +371,15 @@ int solve_k_eigen(const Options& opt, const Mesh& mesh, const Disc& disc,
               static_cast<long long>(mesh.num_cells()),
               patches.num_patches(), opt.sn, quad.num_angles(), opt.groups,
               opt.engine.c_str());
-  if (!opt.trace.empty() || opt.profile || !opt.metrics.empty())
-    std::fprintf(stderr, "note: --trace/--profile/--metrics cover "
-                         "fixed-source solves only; ignored for "
-                         "--k-eigenvalue\n");
+  if (!opt.trace.empty() || !opt.metrics.empty())
+    std::fprintf(stderr, "note: --trace/--metrics cover fixed-source solves "
+                         "only; ignored for --k-eigenvalue\n");
+  if (opt.profile && opt.engine == "serial")
+    std::fprintf(stderr, "note: --profile needs --engine=jsweep or bsp; "
+                         "ignored for the serial sweep\n");
 
   sweep::EigenResult result;
+  std::shared_ptr<const sweep::SweepPlan> rank0_plan;  // for --profile
   WallTimer timer;
   if (opt.engine == "serial") {
     result = sweep::solve_k_eigenvalue_serial(
@@ -415,7 +421,10 @@ int solve_k_eigen(const Options& opt, const Mesh& mesh, const Disc& disc,
       const auto r =
           sweep::solve_k_eigenvalue(ctx, plan, local, fission, options,
                                     solve_config);
-      if (ctx.rank().value() == 0) result = r;
+      if (ctx.rank().value() == 0) {
+        result = r;
+        rank0_plan = plan;
+      }
     });
   }
   const double seconds = timer.seconds();
@@ -437,6 +446,7 @@ int solve_k_eigen(const Options& opt, const Mesh& mesh, const Disc& disc,
         static_cast<double>(result.phi[static_cast<std::size_t>(g)].size());
     std::printf("group %d flux: mean %.5e  peak %.5e\n", g, mean, peak);
   }
+  if (opt.profile && rank0_plan) print_plan_stages(*rank0_plan);
 
   if (!opt.vtk.empty()) {
     std::vector<mesh::CellField> fields;

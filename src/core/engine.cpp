@@ -302,7 +302,7 @@ Engine::ProgramState* Engine::acquire_work(Worker& w) {
   }
 }
 
-void Engine::worker_loop(Worker& w) {
+void Engine::worker_loop(Worker& w, WallTimer::clock::time_point launch) {
   trace::Recorder* const rec = config_.recorder;
   trace::Track* const tr =
       rec != nullptr ? &rec->track(ctx_.rank().value(), w.id) : nullptr;
@@ -310,8 +310,14 @@ void Engine::worker_loop(Worker& w) {
   // buckets — idle while hunting for work (steal scans, bounded spins and
   // blocked waits all count as idle), busy otherwise (execution plus
   // queue/completion bookkeeping) — so that
-  // busy + idle ≈ elapsed × num_workers holds for EngineStats.
-  WallTimer timer;
+  // busy + idle ≈ elapsed × num_workers holds for EngineStats. The
+  // accounting starts at the run's launch timestamp: the thread's start-up
+  // until here is charged as idle.
+  WallTimer timer(launch);
+  const double startup = timer.seconds();
+  w.idle_seconds += startup;
+  if (metric_worker_idle_ != nullptr) metric_worker_idle_->add(startup);
+  timer.reset();
   for (;;) {
     ProgramState* ps = nullptr;
     {
@@ -588,8 +594,10 @@ void Engine::run() {
   for (std::size_t i = 0; i < workers_.size(); ++i)
     workers_[i]->reset(
         mix64(config_.scheduler_seed ^ (static_cast<std::uint64_t>(i) + 1)));
+  const auto launch = WallTimer::clock::now();
   for (auto& w : workers_)
-    w->thread = std::thread([this, &w = *w] { worker_loop(w); });
+    w->thread =
+        std::thread([this, &w = *w, launch] { worker_loop(w, launch); });
 
   // Queue the initially-active programs, highest priority first so worker
   // queues start in priority order.

@@ -152,7 +152,7 @@ class Engine {
   struct Worker;
   struct Completion;
 
-  void worker_loop(Worker& w);
+  void worker_loop(Worker& w, WallTimer::clock::time_point launch);
   void master_loop(comm::SafraDetector* det, IntervalAccumulator& route_time);
   Completion execute(ProgramState& ps);
   ProgramState* take_local(Worker& w);  ///< pop own top (w.mutex held)

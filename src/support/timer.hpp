@@ -14,6 +14,8 @@ class WallTimer {
   using clock = std::chrono::steady_clock;
 
   WallTimer() : start_(clock::now()) {}
+  /// A stopwatch that started at `start`.
+  explicit WallTimer(clock::time_point start) : start_(start) {}
 
   /// Restart the stopwatch.
   void reset() { start_ = clock::now(); }

@@ -1,7 +1,10 @@
 #include "sweep/plan.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
+#include "core/thread_pool.hpp"
 #include "support/check.hpp"
 #include "support/timer.hpp"
 
@@ -275,105 +278,164 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
   plan->lagged_template_.set_num_groups(
       config.multigroup != nullptr ? config.multigroup->groups() : 1);
 
-  // Reflecting/albedo boundary slots register up front — before any task
-  // data is built — because an angle's task resolves the *mirror* angle's
-  // slots, which the per-angle loop below would not have reached yet.
+  // Reflecting/albedo boundary slots register up front, ahead of the cycle
+  // cuts' slots (phase 2): an angle's task resolves the *mirror* angle's
+  // slots, and this order fixes the store's slot numbering.
   if (boundary_registrar) boundary_registrar(plan->lagged_template_);
 
-  // Stage timers (PlanBuildStats): each stage's wall time accumulates
-  // across the per-angle loop.
+  const std::size_t num_angles = static_cast<std::size_t>(quad.num_angles());
+  const std::size_t num_local = plan->local_patches_.size();
+  const std::size_t num_tasks = num_angles * num_local;
+
+  // Build lanes: every (angle, patch) task, every cycle cut and every
+  // patch-priority vector is a pure function of the mesh, the partition
+  // and ω, so the phases below fan them out over `lanes` threads (the
+  // caller is one of them) and store each result at a fixed index. The
+  // plan is therefore identical for every lane count. Ranks of the
+  // in-process cluster share the host, so each takes its share of cores.
+  const int hardware = static_cast<int>(std::thread::hardware_concurrency());
+  const auto share =
+      static_cast<std::size_t>(std::max(hardware / ctx.size(), 1));
+  const int lanes =
+      static_cast<int>(std::min(share, std::max<std::size_t>(num_tasks, 1)));
+  core::ThreadPool pool(lanes - 1);  // one lane: inline, no threads
   PlanBuildStats& stats = plan->build_stats_;
-  const auto timed = [](double& bucket, auto&& fn) {
-    WallTimer stage;
-    fn();
-    bucket += stage.seconds();
-  };
+  stats.lanes = lanes;
 
-  // The inter-patch faces do not depend on the direction: list them once,
-  // then every angle's patch digraph scans that list, not the mesh.
-  std::vector<graph::InterPatchFace> patch_faces;
-  timed(stats.patch_graph_seconds,
-        [&] { patch_faces = patch_faces_builder(); });
+  // Phase 1: the cycle cuts of all directions.
+  const auto angles = static_cast<std::int64_t>(num_angles);
+  std::vector<graph::CycleCut> cuts(num_angles);
+  if (config.cycle_policy != CyclePolicy::Assume) {
+    WallTimer phase;
+    pool.parallel_for(angles, [&](std::int64_t a) {
+      cuts[static_cast<std::size_t>(a)] =
+          cut_builder(quad.angle(static_cast<int>(a)).dir);
+    });
+    stats.cycle_cut_seconds = phase.seconds();
+  }
 
-  const std::size_t num_tasks =
-      static_cast<std::size_t>(quad.num_angles()) *
-      plan->local_patches_.size();
-  plan->task_data_.reserve(num_tasks);
-  plan->programs_.reserve(num_tasks *
-                          static_cast<std::size_t>(plan->groups_built_));
-
-  // One interning scratch for the whole build, reused by every task (a
-  // build-local object: concurrent builds never share it).
-  FaceSlotInterner interner;
-
-  // Outer loop over angles so all programs of one angle share its
-  // patch-priority vector; programs are stored angle-major, a fixed order
-  // reused by the deterministic φ collection.
+  // Phase 2, serial in angle order: refuse a cyclic direction with
+  // diagnostics (the lowest one is named) or register its cut faces as
+  // lagged slots. The cut is a deterministic function of the mesh and
+  // direction, so every rank registers identical store slots. The store
+  // is only read from here on.
   for (int a = 0; a < quad.num_angles(); ++a) {
-    const mesh::Vec3 omega = quad.angle(a).dir;
-    // Cycle handling: detect (unless told to assume acyclicity), and either
-    // refuse with diagnostics or cut + lag the feedback faces. The cut is a
-    // deterministic function of the mesh and direction, so every rank
-    // computes the identical set and registers identical store slots.
-    graph::CycleCut cut;
-    if (config.cycle_policy != CyclePolicy::Assume)
-      timed(stats.cycle_cut_seconds, [&] { cut = cut_builder(omega); });
-    if (!cut.empty()) {
-      JSWEEP_CHECK_MSG(
-          config.cycle_policy == CyclePolicy::Lag,
-          "sweep direction "
-              << a << " (" << omega << ") has cyclic dependencies: "
-              << cut.stats.cyclic_components << " SCC(s), largest "
-              << cut.stats.largest_component << " cells, "
-              << cut.stats.edges_cut
-              << " feedback edge(s); set PlanConfig::cycle_policy = "
-                 "CyclePolicy::Lag to cut and lag them");
-      plan->cycle_stats_.merge(cut.stats);
-      ++plan->cyclic_angles_;
-      std::vector<std::int64_t> faces(cut.lagged_faces.begin(),
-                                      cut.lagged_faces.end());
-      std::sort(faces.begin(), faces.end());
-      for (const auto face : faces) plan->lagged_template_.add_slot(a, face);
-    }
-    std::vector<double> pprio;
-    timed(stats.patch_graph_seconds, [&] {
-      pprio = graph::patch_priorities(
+    const graph::CycleCut& cut = cuts[static_cast<std::size_t>(a)];
+    if (cut.empty()) continue;
+    JSWEEP_CHECK_MSG(
+        config.cycle_policy == CyclePolicy::Lag,
+        "sweep direction "
+            << a << " (" << quad.angle(a).dir << ") has cyclic dependencies: "
+            << cut.stats.cyclic_components << " SCC(s), largest "
+            << cut.stats.largest_component << " cells, " << cut.stats.edges_cut
+            << " feedback edge(s); set PlanConfig::cycle_policy = "
+               "CyclePolicy::Lag to cut and lag them");
+    plan->cycle_stats_.merge(cut.stats);
+    ++plan->cyclic_angles_;
+    std::vector<std::int64_t> faces(cut.lagged_faces.begin(),
+                                    cut.lagged_faces.end());
+    std::sort(faces.begin(), faces.end());
+    for (const auto face : faces) plan->lagged_template_.add_slot(a, face);
+  }
+
+  // Phase 3: per-direction patch priorities. The inter-patch faces do not
+  // depend on the direction: list them once, then every angle's patch
+  // digraph scans that list, not the mesh.
+  std::vector<std::vector<double>> pprio(num_angles);
+  {
+    WallTimer phase;
+    const std::vector<graph::InterPatchFace> patch_faces =
+        patch_faces_builder();
+    pool.parallel_for(angles, [&](std::int64_t a) {
+      const mesh::Vec3 omega = quad.angle(static_cast<int>(a)).dir;
+      pprio[static_cast<std::size_t>(a)] = graph::patch_priorities(
           config.patch_priority,
           graph::build_patch_digraph(patch_faces, ps.num_patches(), omega));
     });
-    // The structural task data is group-independent (same DAG, same face
-    // slots): built once per (patch, angle), shared by all group programs.
-    for (const auto p : plan->local_patches_) {
-      BoundaryCoupling coupling;
-      graph::PatchTaskGraph task_graph;
-      timed(stats.task_graph_seconds, [&] {
-        if (boundary_builder)
-          coupling = boundary_builder(p, AngleId{a}, plan->lagged_template_);
-        task_graph =
-            task_builder(p, omega, AngleId{a}, cut.empty() ? nullptr : &cut);
-      });
-      timed(stats.task_data_seconds, [&] {
-        plan->task_data_.push_back(std::make_unique<SweepTaskData>(
-            std::move(task_graph), config.vertex_priority, disc, ps,
-            quad.angle(a),
-            plan->lagged_template_.empty() ? nullptr
-                                           : &plan->lagged_template_,
-            coupling.empty() ? nullptr : &coupling, &interner));
-      });
-      stats.task_data_bytes += plan->task_data_.back()->memory_bytes();
-      const std::size_t data_index = plan->task_data_.size() - 1;
-      for (int g = 0; g < plan->groups_built_; ++g) {
-        // Task priority: earlier groups strictly dominate (they unblock
-        // downstream groups' sources), then earlier (lower-id) angles so
-        // same-angle programs chain through the mesh back-to-back
-        // (Sec. V-D). For G = 1 this is exactly the classic -angle prior.
-        const double task_prior =
-            -static_cast<double>(g * quad.num_angles() + a);
-        plan->programs_.push_back(PlanProgram{
-            data_index, GroupId{g},
-            graph::combined_priority(
-                task_prior, pprio[static_cast<std::size_t>(p.value())])});
+    stats.patch_graph_seconds = phase.seconds();
+  }
+
+  // Phase 4: every (angle, patch) task — coupling, task graph and the
+  // group-independent SweepTaskData shared by all group programs — into
+  // task_data_[a·L + i]. Lanes claim tasks from one counter; each owns an
+  // interning scratch. The first failure stops further claims and is
+  // rethrown by parallel_for.
+  plan->task_data_.resize(num_tasks);
+  {
+    struct Lane {
+      FaceSlotInterner interner;
+      double graph_seconds = 0.0;
+      double data_seconds = 0.0;
+    };
+    std::vector<Lane> lane_state(static_cast<std::size_t>(lanes));
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    const LaggedFluxStore* const lagged =
+        plan->lagged_template_.empty() ? nullptr : &plan->lagged_template_;
+    WallTimer phase;
+    pool.parallel_for(lanes, [&](std::int64_t l) {
+      Lane& lane = lane_state[static_cast<std::size_t>(l)];
+      while (!failed) {
+        const std::size_t t = next++;
+        if (t >= num_tasks) return;
+        const AngleId a{static_cast<std::int32_t>(t / num_local)};
+        const PatchId p = plan->local_patches_[t % num_local];
+        const sn::Ordinate& ordinate = quad.angle(a.value());
+        const graph::CycleCut& cut = cuts[static_cast<std::size_t>(a.value())];
+        try {
+          WallTimer step;
+          BoundaryCoupling coupling;
+          if (boundary_builder)
+            coupling = boundary_builder(p, a, plan->lagged_template_);
+          graph::PatchTaskGraph task_graph =
+              task_builder(p, ordinate.dir, a, cut.empty() ? nullptr : &cut);
+          lane.graph_seconds += step.seconds();
+          step.reset();
+          plan->task_data_[t] = std::make_unique<SweepTaskData>(
+              std::move(task_graph), config.vertex_priority, disc, ps,
+              ordinate, lagged, coupling.empty() ? nullptr : &coupling,
+              &lane.interner);
+          lane.data_seconds += step.seconds();
+        } catch (...) {
+          failed = true;
+          throw;
+        }
       }
+    });
+    // The phase's wall time, split by the lanes' summed time in each step.
+    const double wall = phase.seconds();
+    double graph_sum = 0.0;
+    double data_sum = 0.0;
+    for (const Lane& lane : lane_state) {
+      graph_sum += lane.graph_seconds;
+      data_sum += lane.data_seconds;
+    }
+    const double busy = graph_sum + data_sum;
+    stats.task_graph_seconds = busy > 0.0 ? wall * (graph_sum / busy) : 0.0;
+    stats.task_data_seconds = busy > 0.0 ? wall * (data_sum / busy) : 0.0;
+  }
+
+  // Phase 5: the program table, angle-major — a fixed order reused by the
+  // deterministic φ collection; all programs of one angle share its
+  // patch-priority vector.
+  plan->programs_.reserve(num_tasks *
+                          static_cast<std::size_t>(plan->groups_built_));
+  for (std::size_t t = 0; t < num_tasks; ++t) {
+    stats.task_data_bytes += plan->task_data_[t]->memory_bytes();
+    const int a = static_cast<int>(t / num_local);
+    const PatchId p = plan->local_patches_[t % num_local];
+    for (int g = 0; g < plan->groups_built_; ++g) {
+      // Task priority: earlier groups strictly dominate (they unblock
+      // downstream groups' sources), then earlier (lower-id) angles so
+      // same-angle programs chain through the mesh back-to-back
+      // (Sec. V-D). For G = 1 this is exactly the classic -angle prior.
+      const double task_prior =
+          -static_cast<double>(g * quad.num_angles() + a);
+      plan->programs_.push_back(PlanProgram{
+          t, GroupId{g},
+          graph::combined_priority(
+              task_prior, pprio[static_cast<std::size_t>(a)]
+                               [static_cast<std::size_t>(p.value())])});
     }
   }
   plan->build_seconds_ = timer.seconds();

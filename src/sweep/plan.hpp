@@ -87,22 +87,29 @@ struct PlanConfig {
 };
 
 /// Where one SweepPlan::build spent its time, stage by stage, and what its
-/// task data holds afterwards. The stages are disjoint and all lie inside
-/// SweepPlan::build_seconds(); the remainder is bookkeeping (owner scan,
-/// per-group kernels, lagged-slot registration, the program table).
+/// task data holds afterwards. The build runs in phases (cycle cuts, lagged
+/// slot registration, patch priorities, tasks, program table); each stage
+/// reports the wall time of its phase, so the stages are disjoint and all
+/// lie inside SweepPlan::build_seconds(). The remainder is bookkeeping
+/// (owner scan, per-group kernels, lagged-slot registration, the program
+/// table).
 struct PlanBuildStats {
-  /// Per-direction cycle detection and feedback-edge cuts.
+  /// Per-direction cycle detection and feedback-edge cuts (phase 1).
   double cycle_cut_seconds = 0.0;
   /// Inter-patch face list (once), per-direction patch digraphs and patch
-  /// priorities.
+  /// priorities (phase 3).
   double patch_graph_seconds = 0.0;
-  /// Per-(patch, angle) task graphs and reflecting-boundary coupling.
+  /// Per-(patch, angle) task graphs and reflecting-boundary coupling: the
+  /// share of the task phase's wall time the lanes spent on them.
   double task_graph_seconds = 0.0;
-  /// SweepTaskData construction: CSR, face-slot interning, vertex
-  /// priorities.
+  /// SweepTaskData construction (CSR, face-slot interning, vertex
+  /// priorities): the rest of the task phase's wall time.
   double task_data_seconds = 0.0;
   /// Heap bytes held by the plan's task data after the build.
   std::int64_t task_data_bytes = 0;
+  /// Build lanes (threads, the caller included) the parallel phases ran
+  /// on: hardware threads / cluster ranks, clamped to [1, tasks].
+  int lanes = 1;
 
   /// Sum of the four stage timings.
   [[nodiscard]] double stage_seconds() const {
@@ -130,7 +137,9 @@ class SweepPlan {
  public:
   /// Build a structured-mesh plan on this rank. Collective in spirit —
   /// every rank must build the identical plan ( `patch_owner[p]` identical
-  /// on all ranks); validation failures throw CheckError up front.
+  /// on all ranks); validation failures throw CheckError up front. The
+  /// independent parts run on PlanBuildStats::lanes threads; the plan is
+  /// the same for every lane count.
   [[nodiscard]] static std::shared_ptr<const SweepPlan> build(
       comm::Context& ctx, const mesh::StructuredMesh& m,
       const partition::PatchSet& ps, std::vector<RankId> patch_owner,

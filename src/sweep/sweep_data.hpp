@@ -115,10 +115,11 @@ struct BoundaryCoupling {
 /// Build-time scratch for the dense face-flux index: a flat
 /// open-addressing map from global face id to workspace slot that hands
 /// out slots in first-touch order. It allocates no per-entry nodes: one
-/// bucket array, grown to the largest task of a plan build and reused by
-/// every task of that build. A plan build owns one interner, so ranks
-/// building concurrently in threads never share one. The table is sized
-/// by the task (the faces its cells touch), never by the global mesh.
+/// bucket array, grown to the largest task it has seen and reused by
+/// every task one build lane builds. A plan build owns one interner per
+/// build lane, so neither its lanes nor ranks building concurrently in
+/// threads ever share one. The table is sized by the task (the faces its
+/// cells touch), never by the global mesh.
 class FaceSlotInterner {
  public:
   /// Start an empty map sized for about `expected_faces` entries. Every

@@ -11,7 +11,9 @@
 // stage timings are coherent and its task data stays within a per
 // cell-angle byte budget; (g) the flat face-slot interner reproduces a
 // plain unordered_map's first-touch slot numbering on vacuum, albedo and
-// cut meshes, and recovers after a failed task build.
+// cut meshes, and recovers after a failed task build; (h) the parallel
+// plan build matches task data built one at a time on the test thread,
+// repeats across builds, and still names the lowest cyclic direction.
 //
 // This binary owns the global operator new/delete replacement
 // (support/alloc_counter.hpp) — include it from exactly one TU per binary.
@@ -24,6 +26,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -665,6 +668,222 @@ TEST(FaceSlotInterning, UntouchedFaceThrowsAndScratchRecovers) {
   comm::Cluster::run(1, [&](comm::Context& ctx) {
     EXPECT_NO_THROW((void)sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
                                                   tc.disc, tc.quad));
+  });
+}
+
+// ---------------------------------------------------------------------------
+// (h) The parallel build reproduces a serial, one-task-at-a-time build.
+// ---------------------------------------------------------------------------
+
+/// The reflecting-boundary coupling of one structured (patch, angle) task,
+/// rebuilt from the mesh, the boundary spec and the plan's slot layout:
+/// incoming non-vacuum boundary faces seed albedo × the mirror angle's
+/// slot, outgoing ones stage into this angle's own slot.
+sweep::BoundaryCoupling reference_coupling(const mesh::StructuredMesh& m,
+                                           const sn::BoundarySpec& bc,
+                                           const sweep::SweepPlan& plan,
+                                           PatchId p, int a) {
+  sweep::BoundaryCoupling coupling;
+  if (!bc.any()) return coupling;
+  const sn::Quadrature& quad = plan.quadrature();
+  const mesh::Vec3 omega = quad.angle(a).dir;
+  const double comp[3] = {omega.x, omega.y, omega.z};
+  const auto& cells = plan.patches().cells(p);
+  for (std::size_t v = 0; v < cells.size(); ++v) {
+    for (int axis = 0; axis < 3; ++axis) {
+      const auto d_in =
+          static_cast<mesh::FaceDir>(2 * axis + (comp[axis] > 0.0 ? 0 : 1));
+      const mesh::FaceDir d_out = mesh::opposite(d_in);
+      if (bc.side(d_in) != 0.0 && !m.neighbor(cells[v], d_in)) {
+        const std::int64_t face = graph::structured_face_id(cells[v], d_in);
+        coupling.reads.push_back(sweep::BoundaryRead{
+            face,
+            plan.lagged_template().slot_index(
+                sn::mirror_ordinate(quad, a, axis), face),
+            bc.side(d_in)});
+      }
+      if (bc.side(d_out) != 0.0 && !m.neighbor(cells[v], d_out)) {
+        const std::int64_t face = graph::structured_face_id(cells[v], d_out);
+        coupling.writes.push_back(sweep::BoundaryWrite{
+            static_cast<std::int32_t>(v), face,
+            plan.lagged_template().slot_index(a, face)});
+      }
+    }
+  }
+  return coupling;
+}
+
+/// A lagged slot as a comparable, printable tuple.
+std::tuple<std::int32_t, std::int32_t, double> slot_tuple(
+    const sweep::LaggedSlot& s) {
+  return {s.ws_slot, s.store_slot, s.scale};
+}
+
+/// Field-by-field equality of two task data through the public accessors.
+void expect_same_task_data(const sweep::SweepTaskData& got,
+                           const sweep::SweepTaskData& want,
+                           const graph::PatchTaskGraph& g) {
+  ASSERT_EQ(got.patch(), want.patch());
+  ASSERT_EQ(got.angle(), want.angle());
+  ASSERT_EQ(got.num_vertices(), want.num_vertices());
+  EXPECT_EQ(got.initial_counts(), want.initial_counts());
+  EXPECT_EQ(got.num_remote_out(), want.num_remote_out());
+  EXPECT_EQ(got.num_flux_slots(), want.num_flux_slots());
+  EXPECT_EQ(got.has_lagged(), want.has_lagged());
+  ASSERT_EQ(got.num_destinations(), want.num_destinations());
+  for (std::int32_t d = 0; d < got.num_destinations(); ++d) {
+    EXPECT_EQ(got.destination(d), want.destination(d));
+    EXPECT_EQ(got.destination_capacity(d), want.destination_capacity(d));
+  }
+  for (const auto& e : g.remote_in)
+    EXPECT_EQ(got.slot_of_remote_in(e.face), want.slot_of_remote_in(e.face));
+  const auto seeds = [](const sweep::SweepTaskData& d) {
+    std::vector<std::tuple<std::int32_t, std::int32_t, double>> out;
+    for (const auto& s : d.lagged_seed_slots()) out.push_back(slot_tuple(s));
+    return out;
+  };
+  EXPECT_EQ(seeds(got), seeds(want));
+  for (std::int32_t v = 0; v < got.num_vertices(); ++v) {
+    EXPECT_EQ(got.vertex_priority(v), want.vertex_priority(v));
+    EXPECT_EQ(got.cell_slots(v).in, want.cell_slots(v).in) << "vertex " << v;
+    EXPECT_EQ(got.cell_slots(v).out, want.cell_slots(v).out)
+        << "vertex " << v;
+    const auto out_local = [v](const sweep::SweepTaskData& d) {
+      std::vector<std::int32_t> w;
+      d.for_out_local(v, [&](const sweep::OutLocal& e) { w.push_back(e.w); });
+      return w;
+    };
+    EXPECT_EQ(out_local(got), out_local(want)) << "vertex " << v;
+    const auto out_remote = [v](const sweep::SweepTaskData& d) {
+      std::vector<std::tuple<std::int64_t, std::int64_t, std::int32_t,
+                             std::int32_t>>
+          edges;
+      d.for_out_remote(v, [&](const sweep::RemoteOut& e) {
+        edges.emplace_back(e.dst_cell, e.face, e.slot, e.dst);
+      });
+      return edges;
+    };
+    EXPECT_EQ(out_remote(got), out_remote(want)) << "vertex " << v;
+    const auto writes = [v](const sweep::SweepTaskData& d) {
+      std::vector<std::tuple<std::int32_t, std::int32_t, double>> out;
+      d.for_lagged_writes(v, [&](const sweep::LaggedSlot& s) {
+        out.push_back(slot_tuple(s));
+      });
+      return out;
+    };
+    EXPECT_EQ(writes(got), writes(want)) << "vertex " << v;
+  }
+}
+
+/// Rebuild every task of `plan` on this thread, one at a time in program
+/// order, and compare it and the program table with the plan's; then
+/// check that four further builds give identical program tables.
+template <class Mesh, class Disc>
+void expect_parallel_build_matches_serial(const Mesh& m, const Disc& disc,
+                                          const partition::PatchSet& ps,
+                                          const std::vector<RankId>& owner,
+                                          const sn::Quadrature& quad,
+                                          sweep::PlanConfig pc,
+                                          const sn::BoundarySpec& bc) {
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    const auto plan =
+        sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc);
+    EXPECT_GE(plan->build_stats().lanes, 1);
+    const auto faces = graph::inter_patch_faces(m, ps);
+    const auto& local = plan->local_patches();
+    const std::size_t tasks =
+        static_cast<std::size_t>(quad.num_angles()) * local.size();
+    ASSERT_EQ(plan->programs().size(), tasks);
+    for (std::size_t t = 0; t < tasks; ++t) {
+      const int a = static_cast<int>(t / local.size());
+      const PatchId p = local[t % local.size()];
+      const mesh::Vec3 omega = quad.angle(a).dir;
+      const graph::CycleCut cut = graph::compute_cycle_cut(m, omega);
+      const auto task_graph = [&] {
+        return graph::build_patch_task_graph(m, ps, p, omega, AngleId{a},
+                                             cut.empty() ? nullptr : &cut);
+      };
+      sweep::BoundaryCoupling coupling;
+      if constexpr (std::is_same_v<Mesh, mesh::StructuredMesh>)
+        coupling = reference_coupling(m, bc, *plan, p, a);
+      const sweep::SweepTaskData want(
+          task_graph(), pc.vertex_priority, disc, ps, quad.angle(a),
+          plan->has_lagged() ? &plan->lagged_template() : nullptr,
+          coupling.empty() ? nullptr : &coupling);
+      const sweep::PlanProgram& prog = plan->programs()[t];
+      ASSERT_EQ(prog.data_index, t);
+      EXPECT_EQ(prog.group, GroupId{0});
+      const auto pprio = graph::patch_priorities(
+          pc.patch_priority,
+          graph::build_patch_digraph(faces, ps.num_patches(), omega));
+      EXPECT_EQ(prog.priority,
+                graph::combined_priority(
+                    -static_cast<double>(a),
+                    pprio[static_cast<std::size_t>(p.value())]))
+          << "task " << t;
+      expect_same_task_data(plan->task_data(t), want, task_graph());
+    }
+    for (int rebuild = 0; rebuild < 4; ++rebuild) {
+      const auto again =
+          sweep::SweepPlan::build(ctx, m, ps, owner, disc, quad, pc);
+      ASSERT_EQ(again->programs().size(), tasks);
+      for (std::size_t t = 0; t < tasks; ++t) {
+        const sweep::PlanProgram& x = again->programs()[t];
+        const sweep::PlanProgram& y = plan->programs()[t];
+        EXPECT_TRUE(x.data_index == y.data_index && x.group == y.group &&
+                    x.priority == y.priority)
+            << "rebuild " << rebuild << " program " << t;
+      }
+    }
+  });
+}
+
+TEST(PlanBuild, ParallelBuildMatchesSerialTaskData) {
+  {
+    SCOPED_TRACE("structured vacuum");
+    const StructuredCase tc(8, 4);
+    expect_parallel_build_matches_serial(tc.m, tc.disc, tc.ps, tc.owner,
+                                         tc.quad, {}, {});
+  }
+  {
+    SCOPED_TRACE("structured albedo");
+    const sn::BoundarySpec bc = sn::BoundarySpec::reflecting_all(1.0);
+    const StructuredCase tc(8, 4, 0, bc);
+    expect_parallel_build_matches_serial(tc.m, tc.disc, tc.ps, tc.owner,
+                                         tc.quad, {}, bc);
+  }
+  {
+    SCOPED_TRACE("twisted column, lagged cuts");
+    const CyclicCase tc;
+    sweep::PlanConfig pc;
+    pc.cycle_policy = sweep::CyclePolicy::Lag;
+    expect_parallel_build_matches_serial(tc.m, tc.disc, tc.ps, tc.owner,
+                                         tc.quad, pc, {});
+  }
+}
+
+TEST(PlanBuild, CyclicErrorNamesLowestCyclicAngle) {
+  // The twisted column is cyclic in every S2 direction, so the default
+  // CyclePolicy::Error must refuse naming direction 0 — and leave nothing
+  // behind that stops a lagged build on the same thread.
+  const CyclicCase tc;
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    try {
+      (void)sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner, tc.disc,
+                                    tc.quad);
+      ADD_FAILURE() << "a cyclic mesh must be refused under Error";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("sweep direction 0 ("),
+                std::string::npos)
+          << e.what();
+    }
+    sweep::PlanConfig lag;
+    lag.cycle_policy = sweep::CyclePolicy::Lag;
+    std::shared_ptr<const sweep::SweepPlan> plan;
+    EXPECT_NO_THROW(plan = sweep::SweepPlan::build(ctx, tc.m, tc.ps, tc.owner,
+                                                   tc.disc, tc.quad, lag));
+    ASSERT_NE(plan, nullptr);
+    EXPECT_TRUE(plan->has_cycles());
   });
 }
 
