@@ -45,10 +45,8 @@ int main(int argc, char** argv) {
   comm::Cluster::run(4, [&](comm::Context& ctx) {
     const auto owner =
         partition::assign_contiguous(patches.num_patches(), ctx.size());
-    sweep::PlanConfig plan_config;
-    plan_config.cluster_grain = 64;
     const auto plan = sweep::SweepPlan::build(ctx, m, patches, owner, disc,
-                                              quad, plan_config);
+                                              quad, {});
     sweep::SolveConfig solve_config;
     solve_config.num_workers = 2;
     sweep::SweepSession session(ctx, plan, solve_config);

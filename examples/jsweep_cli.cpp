@@ -3,7 +3,7 @@
 // line, solve it, and optionally dump the flux as VTK.
 /*
    build/examples/jsweep_cli --mesh=kobayashi --n=16 --sn=4 \
-       --engine=jsweep --ranks=4 --workers=2 --grain=64 \
+       --engine=jsweep --ranks=4 --workers=2 --grain=1000 \
        --priority=SLBD --trace=/tmp/trace.json --profile \
        --vtk=/tmp/flux.vtk
 */
@@ -62,7 +62,7 @@ struct Options {
   std::string engine = "jsweep";   // jsweep | bsp | serial
   int ranks = 4;
   int workers = 2;
-  int grain = 64;
+  int grain = sweep::PlanConfig{}.cluster_grain;
   int patch_cells = 0;  // 0 = default per mesh type
   std::string priority = "SLBD";
   std::string cycle_policy = "error";  // assume | error | lag
@@ -107,7 +107,8 @@ void usage() {
   --engine=jsweep|bsp|serial      sweep engine (default jsweep)
   --ranks=R                       in-process ranks (default 4)
   --workers=W                     worker threads per rank (default 2)
-  --grain=G                       vertex clustering grain (default 64)
+  --grain=G                       vertex clustering grain: max cells per
+                                  program execution (default %d)
   --patch-cells=P                 cells per patch (default: mesh-specific)
   --priority=None|BFS|LDCP|SLBD   patch+vertex strategy (default SLBD)
   --cycle-policy=assume|error|lag cyclic-dependence handling (default error:
@@ -129,7 +130,8 @@ void usage() {
                                   and rank 0's plan-build stages (with
                                   --k-eigenvalue: the plan stages only)
   --help                          this text
-)");
+)",
+              sweep::PlanConfig{}.cluster_grain);
 }
 
 /// `--profile`: where rank 0's plan build went, stage by stage, and the
@@ -277,6 +279,7 @@ std::optional<Options> parse(int argc, char** argv) {
       !check_at_least("--groups", opt.groups, 1) ||
       !check_at_least("--ranks", opt.ranks, 1) ||
       !check_at_least("--workers", opt.workers, 1) ||
+      !check_at_least("--grain", opt.grain, 1) ||
       !check_at_least("--patch-cells", opt.patch_cells, 0) ||
       !check_at_least("--lag-sweeps", opt.lag_sweeps, 1))
     return std::nullopt;

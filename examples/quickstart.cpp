@@ -47,10 +47,8 @@ int main() {
     // Build the immutable plan once (task graphs, face slots, priorities),
     // then solve against it with a lightweight session. Reuse the plan for
     // any number of sessions — rebuild only when the mesh changes.
-    sweep::PlanConfig plan_config;
-    plan_config.cluster_grain = 32;
     const auto plan = sweep::SweepPlan::build(ctx, m, patches, owner, disc,
-                                              quad, plan_config);
+                                              quad, {});
 
     sweep::SolveConfig solve_config;
     solve_config.num_workers = 2;

@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
     sn::MultigroupXs xs = xs_template;
     const sn::TetStep disc(m, xs.group_view(0));
     sweep::PlanConfig plan_config;
-    plan_config.cluster_grain = 64;
     plan_config.multigroup = &xs;
     plan_config.group_pipelining = true;
     const auto owner =

@@ -9,19 +9,35 @@ namespace jsweep::core {
 
 struct ThreadPool::Batch {
   std::int64_t n = 0;
-  const std::function<void(std::int64_t)>* fn = nullptr;
+  const LaneFn* fn = nullptr;
   std::atomic<std::int64_t> next{0};
   std::atomic<int> running{0};
   std::exception_ptr error;
   std::mutex error_mutex;
-  bool done = false;
+
+  /// Claim and run indices on `lane` until none is left. The first throw
+  /// is kept and exhausts the index space, so no thread — the caller
+  /// included — starts another call after it.
+  void run(int lane) {
+    for (;;) {
+      const auto i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        (*fn)(i, lane);
+      } catch (...) {
+        next.store(n, std::memory_order_relaxed);
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error) error = std::current_exception();
+      }
+    }
+  }
 };
 
 ThreadPool::ThreadPool(int threads) {
   JSWEEP_CHECK(threads >= 0);
   workers_.reserve(static_cast<std::size_t>(threads));
   for (int i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, i] { worker_loop(i + 1); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -33,33 +49,27 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop() {
+void ThreadPool::worker_loop(int lane) {
+  std::uint64_t joined = 0;  // generation of the last batch this lane ran
   for (;;) {
     Batch* batch = nullptr;
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] { return stop_ || batch_ != nullptr; });
+      // Join each batch once: a lane that ran out of indices sleeps until
+      // the next batch instead of re-joining this one while the caller
+      // finishes its last call.
+      work_cv_.wait(lock, [&] {
+        return stop_ || (batch_ != nullptr && generation_ != joined);
+      });
       if (stop_) return;
       batch = batch_;
+      joined = generation_;
       batch->running.fetch_add(1, std::memory_order_relaxed);
     }
-    for (;;) {
-      const auto i = batch->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= batch->n) break;
-      try {
-        (*batch->fn)(i);
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(batch->error_mutex);
-        if (!batch->error) batch->error = std::current_exception();
-      }
-    }
+    batch->run(lane);
     {
-      std::unique_lock<std::mutex> lock(mutex_);
-      if (batch->running.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          batch_ == batch) {
-        // Last worker out flags completion; caller also participates, so
-        // "done" really means the index space is exhausted.
-      }
+      const std::lock_guard<std::mutex> lock(mutex_);
+      batch->running.fetch_sub(1, std::memory_order_acq_rel);
       done_cv_.notify_all();
     }
   }
@@ -67,10 +77,14 @@ void ThreadPool::worker_loop() {
 
 void ThreadPool::parallel_for(std::int64_t n,
                               const std::function<void(std::int64_t)>& fn) {
+  parallel_for(n, LaneFn([&fn](std::int64_t i, int) { fn(i); }));
+}
+
+void ThreadPool::parallel_for(std::int64_t n, const LaneFn& fn) {
   JSWEEP_CHECK(n >= 0);
   if (n == 0) return;
   if (workers_.empty()) {
-    for (std::int64_t i = 0; i < n; ++i) fn(i);
+    for (std::int64_t i = 0; i < n; ++i) fn(i, 0);
     return;
   }
   Batch batch;
@@ -79,20 +93,12 @@ void ThreadPool::parallel_for(std::int64_t n,
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     batch_ = &batch;
+    ++generation_;
   }
   work_cv_.notify_all();
 
-  // The caller works too — no idle spin while the pool churns.
-  for (;;) {
-    const auto i = batch.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= batch.n) break;
-    try {
-      fn(i);
-    } catch (...) {
-      const std::lock_guard<std::mutex> lock(batch.error_mutex);
-      if (!batch.error) batch.error = std::current_exception();
-    }
-  }
+  // The caller works too, as lane 0 — no idle spin while the pool churns.
+  batch.run(0);
 
   // Wait for stragglers still inside fn.
   {

@@ -2,8 +2,8 @@
 
 /// \file thread_pool.hpp
 /// Minimal fork-join pool used by the BSP engine's compute phase and the
-/// Sn solver's embarrassingly-parallel loops. (The data-driven engine has
-/// its own long-lived master/worker threads and does not use this.)
+/// plan build's lanes. (The data-driven engine has its own long-lived
+/// master/worker threads and does not use this.)
 
 #include <condition_variable>
 #include <cstdint>
@@ -27,20 +27,27 @@ class ThreadPool {
   /// Worker thread count (0 = inline execution).
   [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
 
+  /// Loop body that also receives the lane running it.
+  using LaneFn = std::function<void(std::int64_t, int)>;
+
   /// Run fn(i) for i in [0, n), striped across the pool; blocks until all
-  /// iterations complete. Exceptions from fn propagate to the caller
-  /// (first one wins).
+  /// started iterations complete. The first exception from fn stops the
+  /// hand-out of further indices and is rethrown to the caller.
   void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn);
+  /// As above, calling fn(i, lane): `lane` in [0, size()] names the thread
+  /// running the call (0 = the caller), so per-lane scratch needs no lock.
+  void parallel_for(std::int64_t n, const LaneFn& fn);
 
  private:
   struct Batch;
-  void worker_loop();
+  void worker_loop(int lane);
 
   std::vector<std::thread> workers_;
   std::mutex mutex_;
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
-  Batch* batch_ = nullptr;  // current batch, guarded by mutex_
+  Batch* batch_ = nullptr;        // current batch, guarded by mutex_
+  std::uint64_t generation_ = 0;  // batches started, guarded by mutex_
   bool stop_ = false;
 };
 

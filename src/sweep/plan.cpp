@@ -1,7 +1,6 @@
 #include "sweep/plan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <thread>
 
 #include "core/thread_pool.hpp"
@@ -357,9 +356,9 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
 
   // Phase 4: every (angle, patch) task — coupling, task graph and the
   // group-independent SweepTaskData shared by all group programs — into
-  // task_data_[a·L + i]. Lanes claim tasks from one counter; each owns an
-  // interning scratch. The first failure stops further claims and is
-  // rethrown by parallel_for.
+  // task_data_[a·L + i]. Each lane owns an interning scratch. The first
+  // failure stops the pool handing out further tasks and is rethrown by
+  // parallel_for.
   plan->task_data_.resize(num_tasks);
   {
     struct Lane {
@@ -368,21 +367,18 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
       double data_seconds = 0.0;
     };
     std::vector<Lane> lane_state(static_cast<std::size_t>(lanes));
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
     const LaggedFluxStore* const lagged =
         plan->lagged_template_.empty() ? nullptr : &plan->lagged_template_;
     WallTimer phase;
-    pool.parallel_for(lanes, [&](std::int64_t l) {
-      Lane& lane = lane_state[static_cast<std::size_t>(l)];
-      while (!failed) {
-        const std::size_t t = next++;
-        if (t >= num_tasks) return;
-        const AngleId a{static_cast<std::int32_t>(t / num_local)};
-        const PatchId p = plan->local_patches_[t % num_local];
-        const sn::Ordinate& ordinate = quad.angle(a.value());
-        const graph::CycleCut& cut = cuts[static_cast<std::size_t>(a.value())];
-        try {
+    pool.parallel_for(
+        static_cast<std::int64_t>(num_tasks), [&](std::int64_t i, int l) {
+          Lane& lane = lane_state[static_cast<std::size_t>(l)];
+          const auto t = static_cast<std::size_t>(i);
+          const AngleId a{static_cast<std::int32_t>(t / num_local)};
+          const PatchId p = plan->local_patches_[t % num_local];
+          const sn::Ordinate& ordinate = quad.angle(a.value());
+          const graph::CycleCut& cut =
+              cuts[static_cast<std::size_t>(a.value())];
           WallTimer step;
           BoundaryCoupling coupling;
           if (boundary_builder)
@@ -396,12 +392,7 @@ std::shared_ptr<const SweepPlan> SweepPlan::build_impl(
               ordinate, lagged, coupling.empty() ? nullptr : &coupling,
               &lane.interner);
           lane.data_seconds += step.seconds();
-        } catch (...) {
-          failed = true;
-          throw;
-        }
-      }
-    });
+        });
     // The phase's wall time, split by the lanes' summed time in each step.
     const double wall = phase.seconds();
     double graph_sum = 0.0;

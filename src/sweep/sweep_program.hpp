@@ -5,8 +5,10 @@
 /// the paper's Listing 1. One instance handles one (patch, angle) pair;
 /// its local context is the per-vertex dependency counters, the ready
 /// priority queue, the dense face-flux workspace and the per-destination
-/// out-stream buffers. compute() retires up to `cluster_grain` ready
-/// vertices per execution (vertex clustering, Sec. V-C).
+/// out-stream buffers. compute() keeps retiring ready vertices — including
+/// those its own retirements make ready — until none is left or
+/// `cluster_grain` have run (vertex clustering, Sec. V-C); at the default
+/// grain a patch whose inputs are all present retires in one execution.
 ///
 /// Steady-state allocation budget: zero. The face-flux workspace comes
 /// from a shared FaceFluxPool (borrowed at init(), returned when the last
@@ -25,6 +27,7 @@
 #include "sn/face_flux.hpp"
 #include "sn/quadrature.hpp"
 #include "sweep/lagged_flux.hpp"
+#include "sweep/plan.hpp"
 #include "sweep/stream_codec.hpp"
 #include "sweep/sweep_data.hpp"
 
@@ -88,8 +91,9 @@ class WorkspaceLease {
 
 /// Per-program knobs (fixed at construction).
 struct SweepProgramOptions {
-  /// Max vertices retired per compute() execution (the paper's N).
-  int cluster_grain = 64;
+  /// Max vertices retired per compute() execution (the paper's N; the
+  /// plan passes PlanConfig::cluster_grain).
+  int cluster_grain = PlanConfig{}.cluster_grain;
   /// When non-null, compute() holds this mutex — serializes all angles of
   /// one patch, the "patch is the unit of parallelism" ablation.
   std::mutex* patch_serializer = nullptr;
@@ -118,7 +122,8 @@ class SweepPatchProgram final : public core::PatchProgram {
   void init() override;
   /// Consume one face-flux stream (or a group-activation marker).
   void input(const core::Stream& s) override;
-  /// Retire up to cluster_grain ready vertices; buffer boundary outputs.
+  /// Retire ready vertices, highest priority first, until none is ready
+  /// or cluster_grain have run; buffer boundary outputs.
   void compute() override;
   /// Drain one pending outgoing stream (null when empty).
   std::optional<core::Stream> output() override;

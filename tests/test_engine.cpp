@@ -155,6 +155,37 @@ TEST(ThreadPool, PropagatesException) {
                std::runtime_error);
 }
 
+TEST(ThreadPool, StopsHandingOutAfterFirstThrow) {
+  constexpr int kThreads = 3;
+  ThreadPool pool(kThreads);
+  std::atomic<int> calls{0};
+  EXPECT_THROW(pool.parallel_for(10'000,
+                                 [&](std::int64_t) {
+                                   calls.fetch_add(1);
+                                   throw std::runtime_error("boom");
+                                 }),
+               std::runtime_error);
+  // At most one call per thread, the caller included, was in flight.
+  EXPECT_LE(calls.load(), kThreads + 1);
+  // The pool stays usable after a failed batch.
+  std::atomic<std::int64_t> sum{0};
+  pool.parallel_for(100, [&](std::int64_t i) { sum.fetch_add(i); });
+  EXPECT_EQ(sum.load(), 4950);
+}
+
+TEST(ThreadPool, LanesNameTheRunningThread) {
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> per_lane(4);
+  pool.parallel_for(1000, [&](std::int64_t, int lane) {
+    ASSERT_GE(lane, 0);
+    ASSERT_LE(lane, pool.size());
+    per_lane[static_cast<std::size_t>(lane)].fetch_add(1);
+  });
+  int total = 0;
+  for (const auto& c : per_lane) total += c.load();
+  EXPECT_EQ(total, 1000);
+}
+
 TEST(ThreadPool, ReusableAcrossBatches) {
   ThreadPool pool(2);
   for (int round = 0; round < 10; ++round) {

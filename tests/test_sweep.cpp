@@ -386,5 +386,35 @@ TEST(SweepStats, EngineCountsLookSane) {
   });
 }
 
+// ---------------------------------------------------------------------------
+// Whole-patch executions
+// ---------------------------------------------------------------------------
+
+/// One 8³ patch per angle: every input is a domain boundary, so at the
+/// default grain each (patch, angle) program retires all 512 cells in its
+/// first execution — 8 executions per S2 sweep.
+TEST(SweepStats, WholePatchRetiresInOneExecution) {
+  const auto m = mesh::make_kobayashi_mesh(8);
+  const partition::StructuredBlockLayout layout({8, 8, 8}, {8, 8, 8});
+  const partition::PatchSet patches(partition::block_partition(layout),
+                                    layout.num_patches());
+  const sn::CellXs xs = sn::expand(sn::MaterialTable::kobayashi(),
+                                   m.materials(), m.num_cells());
+  const sn::StructuredDD disc(m, xs);
+  const sn::Quadrature quad = sn::Quadrature::level_symmetric(2);
+  const std::vector<double> q(static_cast<std::size_t>(m.num_cells()), 0.25);
+  ASSERT_EQ(patches.num_patches(), 1);
+  comm::Cluster::run(1, [&](comm::Context& ctx) {
+    const auto owner = partition::assign_contiguous(1, ctx.size());
+    SweepSession session(
+        ctx, SweepPlan::build(ctx, m, patches, owner, disc, quad, {}));
+    for (int sweep = 0; sweep < 2; ++sweep) {
+      (void)session.sweep(q);  // stats().engine covers the last run
+      EXPECT_EQ(session.stats().engine.executions, quad.num_angles())
+          << "sweep " << sweep;
+    }
+  });
+}
+
 }  // namespace
 }  // namespace jsweep::sweep
