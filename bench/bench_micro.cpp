@@ -549,26 +549,37 @@ void BM_TetStepKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_TetStepKernel);
 
+/// One sweep-stream round trip: encode `range(0)` records of lane width
+/// `range(1)` (1 = single-group, 4 = a group set), pack into a wire
+/// message, unpack, and decode in place as SweepPatchProgram::input does.
 void BM_StreamPackUnpack(benchmark::State& state) {
-  const auto items = static_cast<std::size_t>(state.range(0));
-  std::vector<sweep::StreamItem> batch(items);
-  for (std::size_t i = 0; i < items; ++i)
-    batch[i] = {static_cast<std::int64_t>(i), static_cast<std::int64_t>(i),
-                1.0};
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const auto width = static_cast<int>(state.range(1));
+  const std::vector<double> lanes(static_cast<std::size_t>(width), 1.0);
   std::vector<core::Stream> streams(1);
   streams[0].src = {PatchId{0}, TaskTag{0}};
   streams[0].dst = {PatchId{1}, TaskTag{0}};
   for (auto _ : state) {
-    streams[0].data = sweep::encode_items(batch);
+    comm::Bytes& out = streams[0].data;
+    sweep::begin_records(out, records, width);
+    for (std::size_t i = 0; i < records; ++i)
+      sweep::append_record(out, static_cast<std::int64_t>(i), lanes.data(),
+                           width);
+    sweep::end_records(out, width);
     const auto wire = core::pack_streams(streams);
     auto back = core::unpack_streams(wire);
-    auto decoded = sweep::decode_items(back[0].data);
-    benchmark::DoNotOptimize(decoded);
+    double sum = 0.0;
+    sweep::for_each_record(back[0].data, width,
+                           [&](std::int64_t face, const double* l) {
+                             sum += static_cast<double>(face) + l[width - 1];
+                           });
+    benchmark::DoNotOptimize(sum);
   }
   state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(items) * 24);
+                          static_cast<std::int64_t>(records *
+                                                    sweep::record_size(width)));
 }
-BENCHMARK(BM_StreamPackUnpack)->Arg(16)->Arg(256)->Arg(4096);
+BENCHMARK(BM_StreamPackUnpack)->ArgsProduct({{16, 256, 4096}, {1, 4}});
 
 void BM_BuildPatchTaskGraph(benchmark::State& state) {
   const mesh::StructuredMesh m({40, 40, 40}, {1, 1, 1});

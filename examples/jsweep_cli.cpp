@@ -104,7 +104,8 @@ void usage() {
                                   coefficient A in [0, 1] (0 = vacuum, the
                                   default; 1 = mirror); --mesh=kobayashi
                                   only — tet boundaries are vacuum
-  --engine=jsweep|bsp|serial      sweep engine (default jsweep)
+  --engine=jsweep|bsp|serial      sweep engine (default jsweep; serial =
+                                  the dense one-thread reference sweeper)
   --ranks=R                       in-process ranks (default 4)
   --workers=W                     worker threads per rank (default 2)
   --grain=G                       vertex clustering grain: max cells per
@@ -315,27 +316,49 @@ std::optional<Options> parse(int argc, char** argv) {
   return opt;
 }
 
-/// Per-group serial sweep operator honoring the kernel's boundary policy:
-/// the stateless sweep everywhere, upgraded to the stateful boundary-
-/// coupled sweeper when a structured side reflects (--albedo > 0) so the
-/// serial reference lags mirror-angle iterates exactly like the engines.
+/// Dense serial reference sweeper of a structured mesh. It lags the
+/// mirror-angle iterates of reflecting sides (--albedo > 0) exactly like
+/// the engines' boundary store.
+std::shared_ptr<sn::StructuredSerialSweeper> make_serial_sweeper(
+    const sn::StructuredDD& disc, const sn::Quadrature& quad,
+    sweep::CyclePolicy /*policy: an orthogonal grid is never cyclic*/) {
+  return std::make_shared<sn::StructuredSerialSweeper>(disc, quad);
+}
+
+/// Dense serial reference sweeper of a tet mesh. It cuts and lags the
+/// feedback faces like a CyclePolicy::Lag plan; under any other policy a
+/// cyclic mesh is refused, as the engines' plan build refuses it.
+std::shared_ptr<sn::SerialSweeper> make_serial_sweeper(
+    const sn::TetStep& disc, const sn::Quadrature& quad,
+    sweep::CyclePolicy policy) {
+  auto sweeper = std::make_shared<sn::SerialSweeper>(disc, quad);
+  JSWEEP_CHECK_MSG(policy == sweep::CyclePolicy::Lag ||
+                       sweeper->cyclic_angles() == 0,
+                   "mesh induces a cyclic sweep dependency in "
+                       << sweeper->cyclic_angles() << " of "
+                       << quad.num_angles()
+                       << " direction(s); --cycle-policy=lag cuts and "
+                          "lags them");
+  return sweeper;
+}
+
+/// Per-group serial sweep operator: the dense serial sweeper over a copy
+/// of the kernel carrying group cross sections `gxs`.
 template <class Mesh, class Disc>
 sn::SweepOperator make_group_sweep(const Mesh& mesh, const Disc& disc,
                                    const sn::Quadrature& quad,
-                                   sn::CellXs gxs) {
-  if constexpr (std::is_same_v<Disc, sn::StructuredDD>) {
-    if (disc.boundary().any()) {
-      auto gd = std::make_shared<sn::StructuredDD>(
-          mesh, std::move(gxs), disc.negative_flux_fixup(), disc.boundary());
-      auto sweeper = std::make_shared<sn::StructuredSerialSweeper>(*gd, quad);
-      return [gd, sweeper](const std::vector<double>& q) {
-        return sweeper->sweep(q);
-      };
-    }
-  }
-  auto gd = std::make_shared<Disc>(mesh, std::move(gxs));
-  return [gd, &quad](const std::vector<double>& q) {
-    return sn::serial_sweep(*gd, quad, q);
+                                   sn::CellXs gxs,
+                                   sweep::CyclePolicy policy) {
+  std::shared_ptr<const Disc> gd;
+  if constexpr (std::is_same_v<Disc, sn::StructuredDD>)
+    gd = std::make_shared<sn::StructuredDD>(mesh, std::move(gxs),
+                                            disc.negative_flux_fixup(),
+                                            disc.boundary());
+  else
+    gd = std::make_shared<Disc>(mesh, std::move(gxs));
+  auto sweeper = make_serial_sweeper(*gd, quad, policy);
+  return [gd, sweeper](const std::vector<double>& q) {
+    return sweeper->sweep(q);
   };
 }
 
@@ -368,6 +391,8 @@ int solve_k_eigen(const Options& opt, const Mesh& mesh, const Disc& disc,
   options.fission_tolerance = opt.tolerance * 100.0;
   options.multigroup.inner = {opt.tolerance, opt.max_iterations, false};
   options.multigroup.group_set_width = opt.group_set;
+  const sweep::CyclePolicy cycle_policy =
+      sweep::cycle_policy_from_string(opt.cycle_policy);
 
   std::printf("%lld cells, %d patches, S%d (%d angles), %d group(s), "
               "k-eigenvalue power iteration, engine=%s\n",
@@ -391,7 +416,8 @@ int solve_k_eigen(const Options& opt, const Mesh& mesh, const Disc& disc,
           return sn::sequential_sweep_pass(
               xs,
               [&](int g) {
-                return make_group_sweep(mesh, disc, quad, xs.group_view(g));
+                return make_group_sweep(mesh, disc, quad, xs.group_view(g),
+                                        cycle_policy);
               },
               opt.group_set);
         },
@@ -403,8 +429,7 @@ int solve_k_eigen(const Options& opt, const Mesh& mesh, const Disc& disc,
       plan_config.cluster_grain = opt.grain;
       plan_config.patch_priority = graph::priority_from_string(opt.priority);
       plan_config.vertex_priority = plan_config.patch_priority;
-      plan_config.cycle_policy =
-          sweep::cycle_policy_from_string(opt.cycle_policy);
+      plan_config.cycle_policy = cycle_policy;
       plan_config.multigroup = &local;
       plan_config.group_pipelining = !opt.group_barrier;
       plan_config.group_set_width = opt.group_set;
@@ -476,6 +501,8 @@ int solve_multigroup(const Options& opt, const Mesh& mesh, const Disc& disc,
   sn::MultigroupOptions mg;
   mg.inner = {opt.tolerance, opt.max_iterations, false};
   mg.group_set_width = opt.group_set;
+  const sweep::CyclePolicy cycle_policy =
+      sweep::cycle_policy_from_string(opt.cycle_policy);
   std::printf(
       "%lld cells, %d patches, S%d (%d angles), %d groups (set width %d), "
       "engine=%s%s\n",
@@ -509,7 +536,8 @@ int solve_multigroup(const Options& opt, const Mesh& mesh, const Disc& disc,
         sn::sequential_sweep_pass(
             mxs,
             [&](int g) {
-              return make_group_sweep(mesh, disc, quad, mxs.group_view(g));
+              return make_group_sweep(mesh, disc, quad, mxs.group_view(g),
+                                      cycle_policy);
             },
             opt.group_set),
         mg);
@@ -519,8 +547,7 @@ int solve_multigroup(const Options& opt, const Mesh& mesh, const Disc& disc,
       plan_config.cluster_grain = opt.grain;
       plan_config.patch_priority = graph::priority_from_string(opt.priority);
       plan_config.vertex_priority = plan_config.patch_priority;
-      plan_config.cycle_policy =
-          sweep::cycle_policy_from_string(opt.cycle_policy);
+      plan_config.cycle_policy = cycle_policy;
       plan_config.multigroup = &mxs;
       plan_config.group_pipelining = !opt.group_barrier;
       plan_config.group_set_width = opt.group_set;
@@ -651,45 +678,16 @@ int solve(const Options& opt, const Mesh& mesh, const Disc& disc,
       std::fprintf(stderr,
                    "note: --lag-sweeps needs --engine=jsweep or bsp; the "
                    "serial sweeper always lags one sweep\n");
-    bool done = false;
-    if constexpr (std::is_same_v<Disc, sn::StructuredDD>) {
-      if (disc.boundary().any()) {
-        // Boundary-coupled reference: lags mirror-angle iterates exactly
-        // like the engines' boundary store (--albedo > 0).
-        sn::StructuredSerialSweeper sweeper(disc, quad);
-        result = sn::source_iteration(
-            xs,
-            [&](const std::vector<double>& q) { return sweeper.sweep(q); },
-            si);
-        solver_stats.last_lag_sweeps = 1;
-        solver_stats.last_lag_residual = sweeper.last_lag_residual();
-        done = true;
-      }
-    }
+    const auto sweeper = make_serial_sweeper(disc, quad, cycle_policy);
+    result = sn::source_iteration(
+        xs, [&](const std::vector<double>& q) { return sweeper->sweep(q); },
+        si);
     if constexpr (std::is_same_v<Disc, sn::TetStep>) {
-      if (cycle_policy == sweep::CyclePolicy::Lag) {
-        // Cycle-aware stateful reference: cuts feedback edges and lags
-        // their fluxes exactly like the parallel solver.
-        sn::SerialSweeper sweeper(disc, quad);
-        result = sn::source_iteration(
-            xs,
-            [&](const std::vector<double>& q) { return sweeper.sweep(q); },
-            si);
-        solver_stats.cycles = sweeper.cycle_stats();
-        solver_stats.cyclic_angles = sweeper.cyclic_angles();
-        solver_stats.last_lag_sweeps = 1;
-        solver_stats.last_lag_residual = sweeper.last_lag_residual();
-        done = true;
-      }
+      solver_stats.cycles = sweeper->cycle_stats();
+      solver_stats.cyclic_angles = sweeper->cyclic_angles();
     }
-    if (!done) {
-      result = sn::source_iteration(
-          xs,
-          [&](const std::vector<double>& q) {
-            return sn::serial_sweep(disc, quad, q);
-          },
-          si);
-    }
+    solver_stats.last_lag_sweeps = 1;
+    solver_stats.last_lag_residual = sweeper->last_lag_residual();
   } else {
     comm::Cluster::run(opt.ranks, [&](comm::Context& ctx) {
       sweep::PlanConfig plan_config;

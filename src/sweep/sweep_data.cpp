@@ -158,14 +158,27 @@ SweepTaskData::SweepTaskData(graph::PatchTaskGraph g,
     return slot;
   };
 
-  // Remote-in faces: sorted (face → slot) table for the stream input path.
+  // Remote-in faces: sorted (face → slot, vertex) table for the stream
+  // input path. A face has one downwind cell, so duplicates must agree.
   if (dense) {
     remote_in_slots_.reserve(g.remote_in.size());
     for (const auto& e : g.remote_in)
-      remote_in_slots_.emplace_back(e.face, resolve(e.face));
-    std::sort(remote_in_slots_.begin(), remote_in_slots_.end());
+      remote_in_slots_.push_back(RemoteIn{e.face, resolve(e.face), e.v});
+    std::sort(remote_in_slots_.begin(), remote_in_slots_.end(),
+              [](const RemoteIn& a, const RemoteIn& b) {
+                return a.face < b.face;
+              });
     remote_in_slots_.erase(
-        std::unique(remote_in_slots_.begin(), remote_in_slots_.end()),
+        std::unique(remote_in_slots_.begin(), remote_in_slots_.end(),
+                    [&](const RemoteIn& a, const RemoteIn& b) {
+                      if (a.face != b.face) return false;
+                      JSWEEP_CHECK_MSG(a.v == b.v,
+                                       "face " << a.face << " of patch "
+                                               << patch_
+                                               << " feeds local vertices "
+                                               << a.v << " and " << b.v);
+                      return true;
+                    }),
         remote_in_slots_.end());
   }
 
@@ -193,7 +206,7 @@ SweepTaskData::SweepTaskData(graph::PatchTaskGraph g,
       n,
       [&](auto&& emit) {
         for (const auto& e : g.remote_out)
-          emit(e.u, RemoteOut{e.dst_cell, e.face, resolve(e.face),
+          emit(e.u, RemoteOut{e.face, resolve(e.face),
                               dst_index(e.dst_patch)});
       },
       rout_off_, rout_);
@@ -260,17 +273,15 @@ std::int64_t SweepTaskData::memory_bytes() const {
          capacity_bytes(lag_slots_);
 }
 
-std::int32_t SweepTaskData::slot_of_remote_in(std::int64_t face) const {
+const RemoteIn& SweepTaskData::remote_in(std::int64_t face) const {
   const auto it = std::lower_bound(
       remote_in_slots_.begin(), remote_in_slots_.end(), face,
-      [](const std::pair<std::int64_t, std::int32_t>& a, std::int64_t f) {
-        return a.first < f;
-      });
-  JSWEEP_CHECK_MSG(it != remote_in_slots_.end() && it->first == face,
+      [](const RemoteIn& a, std::int64_t f) { return a.face < f; });
+  JSWEEP_CHECK_MSG(it != remote_in_slots_.end() && it->face == face,
                    "stream delivered flux for face "
                        << face << " which patch " << patch_
                        << " never reads");
-  return it->second;
+  return *it;
 }
 
 }  // namespace jsweep::sweep

@@ -64,13 +64,24 @@ struct OutLocal {
 
 /// A remote downwind edge, fully resolved for the hot path: the carrying
 /// face's workspace slot and the destination patch's dense index into the
-/// per-destination out-item buffers.
+/// per-destination out-stream payloads. The face alone names the delivery:
+/// the receiving task resolves it to its own slot and vertex (RemoteIn).
 struct RemoteOut {
-  std::int64_t dst_cell;  ///< destination cell (global id)
-  std::int64_t face;      ///< mesh face id carrying the flux
-  std::int32_t slot;      ///< workspace slot of `face`
-  std::int32_t dst;       ///< destination index (see destination())
+  std::int64_t face;  ///< mesh face id carrying the flux
+  std::int32_t slot;  ///< workspace slot of `face`
+  std::int32_t dst;   ///< destination index (see destination())
 };
+static_assert(sizeof(RemoteOut) == 16);
+
+/// An upwind face entering the task from another patch, resolved for the
+/// stream input path: the workspace slot its flux lands in and the local
+/// vertex whose dependency count one delivery decrements.
+struct RemoteIn {
+  std::int64_t face;  ///< mesh face id carrying the flux
+  std::int32_t slot;  ///< workspace slot of `face`
+  std::int32_t v;     ///< downwind local vertex
+};
+static_assert(sizeof(RemoteIn) == 16);
 
 /// A lagged face (cycle-cut or boundary-coupled) as the programs see it:
 /// workspace slot paired with its LaggedFluxStore slot. `scale` multiplies
@@ -211,7 +222,7 @@ class SweepTaskData {
   [[nodiscard]] double vertex_priority(std::int32_t v) const {
     return vprio_[static_cast<std::size_t>(v)];
   }
-  /// Total remote downwind edges (= max stream items per sweep).
+  /// Total remote downwind edges (= max stream records per sweep).
   [[nodiscard]] std::int64_t num_remote_out() const {
     return static_cast<std::int64_t>(rout_.size());
   }
@@ -223,9 +234,10 @@ class SweepTaskData {
   [[nodiscard]] const sn::CellFaceSlots& cell_slots(std::int32_t v) const {
     return cell_slots_[static_cast<std::size_t>(v)];
   }
-  /// Slot of an incoming remote face (stream input path; binary search
-  /// over the sorted remote-in face list — no hashing).
-  [[nodiscard]] std::int32_t slot_of_remote_in(std::int64_t face) const;
+  /// Slot and downwind vertex of an incoming remote face (stream input
+  /// path; binary search over the sorted remote-in face list — no
+  /// hashing). Throws CheckError for a face this task never reads.
+  [[nodiscard]] const RemoteIn& remote_in(std::int64_t face) const;
 
   // --- Stream destinations ----------------------------------------------
   /// Distinct downwind patches, ascending by id; RemoteOut::dst indexes
@@ -237,9 +249,9 @@ class SweepTaskData {
   [[nodiscard]] PatchId destination(std::int32_t d) const {
     return dst_patches_[static_cast<std::size_t>(d)];
   }
-  /// Upper bound of items ever buffered for destination d in one sweep
+  /// Upper bound of records ever sent to destination d in one sweep
   /// (= its remote-edge count): the reserve() size that makes per-batch
-  /// buffering allocation-free after the first sweep.
+  /// staging allocation-free once the payload pool is warm.
   [[nodiscard]] std::int64_t destination_capacity(std::int32_t d) const {
     return dst_capacity_[static_cast<std::size_t>(d)];
   }
@@ -296,7 +308,7 @@ class SweepTaskData {
 
   std::int64_t num_slots_ = 0;
   std::vector<sn::CellFaceSlots> cell_slots_;
-  std::vector<std::pair<std::int64_t, std::int32_t>> remote_in_slots_;
+  std::vector<RemoteIn> remote_in_slots_;  ///< sorted by face
   std::vector<PatchId> dst_patches_;
   std::vector<std::int64_t> dst_capacity_;
 

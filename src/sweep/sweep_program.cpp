@@ -1,9 +1,13 @@
 #include "sweep/sweep_program.hpp"
 
+#include <utility>
+
 #include "support/check.hpp"
 #include "sweep/group_pipeline.hpp"
 
 namespace jsweep::sweep {
+
+static_assert(sn::kMaxGroupSetWidth == kMaxRecordLanes);
 
 namespace {
 
@@ -80,96 +84,6 @@ void WorkspaceLease::release_if(bool done, const SweepShared& shared) {
   flux_ = nullptr;
 }
 
-namespace {
-
-/// Init-time sizing of the per-destination out-item buffers to their
-/// static per-sweep maximum (allocation-free batching afterwards).
-void prepare_out_buffers(const SweepTaskData& data,
-                         std::vector<std::vector<StreamItem>>& out_items,
-                         std::vector<core::Stream>& pending) {
-  out_items.resize(static_cast<std::size_t>(data.num_destinations()));
-  for (std::int32_t d = 0; d < data.num_destinations(); ++d) {
-    auto& items = out_items[static_cast<std::size_t>(d)];
-    items.clear();
-    items.reserve(static_cast<std::size_t>(data.destination_capacity(d)));
-  }
-  pending.clear();
-  pending.reserve(static_cast<std::size_t>(data.num_destinations()));
-}
-
-/// Batch-end flush: encode each destination's buffered items into one
-/// pooled-payload stream (ascending patch id — the deterministic emission
-/// order) and queue it on `pending`.
-void flush_out_streams(const SweepTaskData& data, const SweepShared& shared,
-                       const ProgramKey& src,
-                       std::vector<std::vector<StreamItem>>& out_items,
-                       std::vector<core::Stream>& pending) {
-  for (std::int32_t d = 0; d < data.num_destinations(); ++d) {
-    auto& items = out_items[static_cast<std::size_t>(d)];
-    if (items.empty()) continue;
-    core::Stream s;
-    s.src = src;
-    s.dst = ProgramKey{data.destination(d), src.task};
-    s.data = shared.stream_buffers != nullptr
-                 ? shared.stream_buffers->acquire()
-                 : comm::Bytes{};
-    encode_items_into(items, s.data);
-    items.clear();
-    pending.push_back(std::move(s));
-  }
-}
-
-/// Group-set counterparts of prepare_out_buffers()/flush_out_streams():
-/// each remote face delivery becomes one SetStreamRecord plus `width` lane
-/// values (lanes flat in `out_lanes[d]`, record i owning
-/// `[i*width, (i+1)*width)`), encoded with the set codec so the receiver
-/// decrements its dependency counter once per record.
-void prepare_set_out_buffers(
-    const SweepTaskData& data, int width,
-    std::vector<std::vector<SetStreamRecord>>& out_records,
-    std::vector<std::vector<double>>& out_lanes,
-    std::vector<core::Stream>& pending) {
-  out_records.resize(static_cast<std::size_t>(data.num_destinations()));
-  out_lanes.resize(static_cast<std::size_t>(data.num_destinations()));
-  for (std::int32_t d = 0; d < data.num_destinations(); ++d) {
-    auto& records = out_records[static_cast<std::size_t>(d)];
-    auto& lanes = out_lanes[static_cast<std::size_t>(d)];
-    records.clear();
-    records.reserve(static_cast<std::size_t>(data.destination_capacity(d)));
-    lanes.clear();
-    lanes.reserve(static_cast<std::size_t>(data.destination_capacity(d)) *
-                  static_cast<std::size_t>(width));
-  }
-  pending.clear();
-  pending.reserve(static_cast<std::size_t>(data.num_destinations()));
-}
-
-void flush_set_out_streams(
-    const SweepTaskData& data, const SweepShared& shared, int width,
-    const ProgramKey& src,
-    std::vector<std::vector<SetStreamRecord>>& out_records,
-    std::vector<std::vector<double>>& out_lanes,
-    std::vector<core::Stream>& pending) {
-  // Same ascending-destination emission order as the scalar flush.
-  for (std::int32_t d = 0; d < data.num_destinations(); ++d) {
-    auto& records = out_records[static_cast<std::size_t>(d)];
-    if (records.empty()) continue;
-    auto& lanes = out_lanes[static_cast<std::size_t>(d)];
-    core::Stream s;
-    s.src = src;
-    s.dst = ProgramKey{data.destination(d), src.task};
-    s.data = shared.stream_buffers != nullptr
-                 ? shared.stream_buffers->acquire()
-                 : comm::Bytes{};
-    encode_set_items_into(records, lanes, width, s.data);
-    records.clear();
-    lanes.clear();
-    pending.push_back(std::move(s));
-  }
-}
-
-}  // namespace
-
 SweepPatchProgram::SweepPatchProgram(const SweepTaskData& data,
                                      const SweepShared& shared,
                                      SweepProgramOptions options)
@@ -208,11 +122,12 @@ void SweepPatchProgram::init() {
   // The workspace itself is borrowed lazily (WorkspaceLease::ensure) on
   // the first input or compute that touches flux.
   lease_.reset_for_run(shared_);
-  if (set_width_ > 1)
-    prepare_set_out_buffers(data_, set_width_, out_records_, out_lanes_,
-                            pending_);
-  else
-    prepare_out_buffers(data_, out_items_, pending_);
+  // Drops the payloads an aborted run left staged; steady sweeps find them
+  // moved out and allocate nothing.
+  out_payloads_.assign(static_cast<std::size_t>(data_.num_destinations()),
+                       comm::Bytes{});
+  pending_.clear();
+  pending_.reserve(static_cast<std::size_t>(data_.num_destinations()));
   phi_.assign(static_cast<std::size_t>(data_.num_vertices()) *
                   static_cast<std::size_t>(set_width_),
               0.0);
@@ -236,31 +151,19 @@ void SweepPatchProgram::input(const core::Stream& s) {
   }
   sn::FaceFluxWorkspace& flux =
       lease_.ensure(shared_, data_, lag_group(), set_width_);
-  const auto deliver = [&](std::int64_t dst_cell) {
-    const CellId cell{dst_cell};
-    JSWEEP_ASSERT(shared_.patches->patch_of(cell) == data_.patch());
-    const std::int32_t v = shared_.patches->local_index(cell);
-    auto& count = counts_[static_cast<std::size_t>(v)];
-    JSWEEP_CHECK_MSG(count > 0, "dependency underflow at vertex " << v);
-    if (--count == 0) mark_ready(v);
-  };
-  if (set_width_ > 1) {
-    // One record carries the whole set's lane fluxes for a face — one
-    // dependency decrement per face delivery, exactly like the scalar path.
-    for_each_set_item(
-        s.data, set_width_,
-        [&](std::int64_t cell, std::int64_t face, const double* lanes) {
-          const std::int32_t slot = data_.slot_of_remote_in(face);
-          for (int l = 0; l < set_width_; ++l)
-            flux.write(slot * set_width_ + l, lanes[l]);
-          deliver(cell);
-        });
-  } else {
-    for_each_item(s.data, [&](const StreamItem& item) {
-      flux.write(data_.slot_of_remote_in(item.face), item.value);
-      deliver(item.cell);
-    });
-  }
+  // One record carries the set's lane fluxes for a face: one dependency
+  // decrement per face delivery, whatever the width.
+  for_each_record(s.data, set_width_, [&](std::int64_t face,
+                                          const double* lanes) {
+    const RemoteIn& in = data_.remote_in(face);
+    for (int l = 0; l < set_width_; ++l)
+      flux.write(in.slot * set_width_ + l, lanes[l]);
+    auto& count = counts_[static_cast<std::size_t>(in.v)];
+    JSWEEP_CHECK_MSG(count > 0,
+                     "dependency underflow at vertex " << in.v << " of "
+                                                       << key());
+    if (--count == 0) mark_ready(in.v);
+  });
 }
 
 void SweepPatchProgram::compute() {
@@ -297,48 +200,31 @@ void SweepPatchProgram::compute() {
     ready_.pop();
     ++in_batch;
 
+    // The set kernel runs at 0.48x the scalar rate at W = 1 (bench_micro
+    // grind_set), so one lane takes the scalar kernel.
     const CellId cell = cells[static_cast<std::size_t>(v)];
-    if (set_width_ > 1) {
-      const sn::FaceFluxSetView view{&flux, &data_.cell_slots(v),
-                                     set_width_};
-      double psi[sn::kMaxGroupSetWidth];
-      disc->sweep_cell_set(cell, ang, set_width_, q.data(), sigma_t_lanes,
-                           view, psi);
-      for (int l = 0; l < set_width_; ++l)
-        phi_[static_cast<std::size_t>(v) *
-                 static_cast<std::size_t>(set_width_) +
-             static_cast<std::size_t>(l)] = ang.weight * psi[l];
+    double psi[sn::kMaxGroupSetWidth];
+    if (set_width_ == 1) {
+      psi[0] = disc->sweep_cell(
+          cell, ang, q, sn::FaceFluxView{&flux, &data_.cell_slots(v)});
     } else {
-      const sn::FaceFluxView view{&flux, &data_.cell_slots(v)};
-      const double psi = disc->sweep_cell(cell, ang, q, view);
-      phi_[static_cast<std::size_t>(v)] = ang.weight * psi;
+      disc->sweep_cell_set(
+          cell, ang, set_width_, q.data(), sigma_t_lanes,
+          sn::FaceFluxSetView{&flux, &data_.cell_slots(v), set_width_}, psi);
     }
+    for (int l = 0; l < set_width_; ++l)
+      phi_[static_cast<std::size_t>(v) * static_cast<std::size_t>(set_width_) +
+           static_cast<std::size_t>(l)] = ang.weight * psi[l];
     ++computed_;
 
     // Downwind updates: local vertices may become ready (possibly within
-    // this same batch — Listing 1's inner enqueue); remote edges buffer
-    // stream items for their destination patch.
+    // this same batch — Listing 1's inner enqueue); remote edges stage
+    // one record each into their destination patch's payload.
     data_.for_out_local(v, [&](const OutLocal& e) {
       if (--counts_[static_cast<std::size_t>(e.w)] == 0) mark_ready(e.w);
     });
-    if (set_width_ > 1) {
-      data_.for_out_remote(v, [&](const RemoteOut& e) {
-        out_records_[static_cast<std::size_t>(e.dst)].push_back(
-            SetStreamRecord{e.dst_cell, e.face});
-        auto& lanes = out_lanes_[static_cast<std::size_t>(e.dst)];
-        for (int l = 0; l < set_width_; ++l) {
-          const std::int32_t ws = e.slot * set_width_ + l;
-          JSWEEP_ASSERT(flux.has(ws));
-          lanes.push_back(flux.read(ws));
-        }
-      });
-    } else {
-      data_.for_out_remote(v, [&](const RemoteOut& e) {
-        JSWEEP_ASSERT(flux.has(e.slot));
-        out_items_[static_cast<std::size_t>(e.dst)].push_back(
-            StreamItem{e.dst_cell, e.face, flux.read(e.slot)});
-      });
-    }
+    data_.for_out_remote(v,
+                         [&](const RemoteOut& e) { stage_record(e, flux); });
     // Lagged (cycle-cut) faces: stage the fresh value for the next sweep,
     // then restore the old iterate so any later reader — regardless of
     // scheduling order — sees the same value the cut promised it.
@@ -346,11 +232,7 @@ void SweepPatchProgram::compute() {
                         set_width_);
   }
 
-  if (set_width_ > 1)
-    flush_set_out_streams(data_, shared_, set_width_, key(), out_records_,
-                          out_lanes_, pending_);
-  else
-    flush_out_streams(data_, shared_, key(), out_items_, pending_);
+  flush_out_streams();
   // All vertices retired: the workspace has served its purpose — return it
   // so a not-yet-finished program can reuse the allocation.
   const bool done = computed_ == data_.num_vertices();
@@ -362,6 +244,39 @@ void SweepPatchProgram::compute() {
     completion_reported_ = true;
     shared_.pipeline->on_program_complete(data_.patch(), options_.group,
                                           key(), pending_);
+  }
+}
+
+void SweepPatchProgram::stage_record(const RemoteOut& e,
+                                     const sn::FaceFluxWorkspace& flux) {
+  comm::Bytes& out = out_payloads_[static_cast<std::size_t>(e.dst)];
+  if (out.empty()) {  // the batch's first record for this destination
+    if (shared_.stream_buffers != nullptr)
+      out = shared_.stream_buffers->acquire();
+    begin_records(
+        out, static_cast<std::size_t>(data_.destination_capacity(e.dst)),
+        set_width_);
+  }
+  double lanes[sn::kMaxGroupSetWidth];
+  for (int l = 0; l < set_width_; ++l) {
+    const std::int32_t ws = e.slot * set_width_ + l;
+    JSWEEP_ASSERT(flux.has(ws));
+    lanes[l] = flux.read(ws);
+  }
+  append_record(out, e.face, lanes, set_width_);
+}
+
+void SweepPatchProgram::flush_out_streams() {
+  // Ascending destination patch id: the deterministic emission order.
+  for (std::int32_t d = 0; d < data_.num_destinations(); ++d) {
+    comm::Bytes& out = out_payloads_[static_cast<std::size_t>(d)];
+    if (out.empty()) continue;
+    end_records(out, set_width_);
+    core::Stream s;
+    s.src = key();
+    s.dst = ProgramKey{data_.destination(d), key().task};
+    s.data = std::exchange(out, comm::Bytes{});
+    pending_.push_back(std::move(s));
   }
 }
 

@@ -12,9 +12,9 @@
 ///
 /// Steady-state allocation budget: zero. The face-flux workspace comes
 /// from a shared FaceFluxPool (borrowed at init(), returned when the last
-/// vertex retires), stream payloads come from the engine's BufferPool, and
-/// the per-destination item buffers are reserved to their static maximum —
-/// the kernel grind performs no hash-map operation and no heap allocation.
+/// vertex retires), and stream payloads come from the engine's BufferPool,
+/// reserved to their destination's static per-sweep maximum — the kernel
+/// grind performs no hash-map operation and no heap allocation.
 
 #include <mutex>
 #include <queue>
@@ -158,6 +158,11 @@ class SweepPatchProgram final : public core::PatchProgram {
   };
 
   void mark_ready(std::int32_t v);
+  /// Append the record (e.face, its set_width_ lane fluxes) to destination
+  /// e.dst's payload, drawing a pooled one on the batch's first record.
+  void stage_record(const RemoteOut& e, const sn::FaceFluxWorkspace& flux);
+  /// Batch end: seal each staged payload and queue it on pending_.
+  void flush_out_streams();
   /// Base energy group selecting this run's lagged-flux stride: the
   /// program's set base when pipelined (== its group at set width 1), the
   /// solver-set current group otherwise.
@@ -170,8 +175,8 @@ class SweepPatchProgram final : public core::PatchProgram {
   const SweepShared& shared_;
   SweepProgramOptions options_;
   /// Lanes this program sweeps at once (resolved from the pipeline's set
-  /// width at construction; 1 without a pipeline). Width 1 takes the
-  /// scalar kernel/codec path unchanged.
+  /// width at construction; 1 without a pipeline): the lane count of every
+  /// stream record it sends and receives. Width 1 takes the scalar kernel.
   int set_width_ = 1;
   /// First energy group of this program's set (0 without a pipeline).
   int group_base_ = 0;
@@ -180,11 +185,9 @@ class SweepPatchProgram final : public core::PatchProgram {
   std::vector<std::int32_t> counts_;
   std::priority_queue<ReadyEntry> ready_;
   WorkspaceLease lease_;
-  std::vector<std::vector<StreamItem>> out_items_;  ///< by destination slot
-  /// Group-set out buffers (set_width_ > 1): one record + set_width_
-  /// lane values per remote face delivery, by destination slot.
-  std::vector<std::vector<SetStreamRecord>> out_records_;
-  std::vector<std::vector<double>> out_lanes_;
+  /// Payloads being staged this batch, by destination index (empty = no
+  /// record yet; see stream_codec.hpp for the record layout).
+  std::vector<comm::Bytes> out_payloads_;
   std::vector<core::Stream> pending_;
   std::vector<double> phi_;
   std::int64_t computed_ = 0;

@@ -215,37 +215,28 @@ TEST(WireFraming, MalformedPayloadsThrowCheckError) {
     SCOPED_TRACE(testing::Message() << "trial " << trial);
     const std::uint64_t k = rng.below(6);
 
-    // Sweep item payloads: 8-byte count + k 24-byte records.
-    std::vector<sweep::StreamItem> items(k);
-    for (auto& it : items)
-      it = {static_cast<std::int64_t>(rng.below(1000)),
-            static_cast<std::int64_t>(rng.below(1000)), rng.uniform()};
-    const Bytes items_wire = sweep::encode_items(items);
-    const std::size_t item_rec = sizeof(sweep::StreamItem);
-    ASSERT_EQ(sweep::item_count(items_wire), k);
-    const std::vector<Bytes> bad_items{
-        prefix(rng, items_wire, items_wire.size()),
-        with_count(items_wire, k + 1 + rng.below(9)),
-        with_count(items_wire, wrapped(rng, k)),
-        misaligned(rng, items_wire, item_rec)};
-    for (const Bytes& bad : bad_items)
-      EXPECT_THROW((void)sweep::item_count(bad), CheckError);
-
-    // Group-set payloads: 8-byte count + k (16 + 8W)-byte records.
-    const int width = 1 + static_cast<int>(rng.below(8));
-    const std::vector<sweep::SetStreamRecord> records(k, {1, 2});
-    const std::vector<double> lanes(k * static_cast<std::size_t>(width), 0.5);
-    Bytes set_wire;
-    sweep::encode_set_items_into(records, lanes, width, set_wire);
-    const std::size_t set_rec = sweep::set_record_size(width);
-    ASSERT_EQ(sweep::set_item_count(set_wire, width), k);
-    const std::vector<Bytes> bad_sets{
-        prefix(rng, set_wire, set_wire.size()),
-        with_count(set_wire, k + 1 + rng.below(9)),
-        with_count(set_wire, wrapped(rng, k)),
-        misaligned(rng, set_wire, set_rec)};
-    for (const Bytes& bad : bad_sets)
-      EXPECT_THROW((void)sweep::set_item_count(bad, width), CheckError);
+    // Sweep stream payloads: 8-byte count + k (8 + 8W)-byte records, at
+    // the single-group width W = 1 and at a random group-set width.
+    for (const int width : {1, 2 + static_cast<int>(rng.below(7))}) {
+      SCOPED_TRACE(testing::Message() << "width " << width);
+      const std::vector<double> lanes(static_cast<std::size_t>(width), 0.5);
+      Bytes wire;
+      sweep::begin_records(wire, k, width);
+      for (std::uint64_t i = 0; i < k; ++i)
+        sweep::append_record(wire, static_cast<std::int64_t>(rng.below(1000)),
+                             lanes.data(), width);
+      sweep::end_records(wire, width);
+      const std::size_t rec = sweep::record_size(width);
+      ASSERT_EQ(rec, 8 + 8 * static_cast<std::size_t>(width));
+      ASSERT_EQ(wire.size(), 8 + rec * k);
+      ASSERT_EQ(sweep::record_count(wire, width), k);
+      const std::vector<Bytes> bad{prefix(rng, wire, wire.size()),
+                                   with_count(wire, k + 1 + rng.below(9)),
+                                   with_count(wire, wrapped(rng, k)),
+                                   misaligned(rng, wire, rec)};
+      for (const Bytes& b : bad)
+        EXPECT_THROW((void)sweep::record_count(b, width), CheckError);
+    }
 
     // Length-prefixed vectors and strings: k doubles plus < 8 slack bytes.
     const std::size_t body = k * sizeof(double) + rng.below(8);

@@ -13,7 +13,8 @@
 // plain unordered_map's first-touch slot numbering on vacuum, albedo and
 // cut meshes, and recovers after a failed task build; (h) the parallel
 // plan build matches task data built one at a time on the test thread,
-// repeats across builds, and still names the lowest cyclic direction.
+// repeats across builds, and still names the lowest cyclic direction;
+// (i) a program driven by hand rejects malformed stream records.
 //
 // This binary owns the global operator new/delete replacement
 // (support/alloc_counter.hpp) — include it from exactly one TU per binary.
@@ -42,6 +43,8 @@
 #include "support/alloc_counter.hpp"
 #include "support/check.hpp"
 #include "sweep/service.hpp"
+#include "sweep/stream_codec.hpp"
+#include "sweep/sweep_program.hpp"
 
 namespace jsweep {
 namespace {
@@ -537,8 +540,10 @@ void expect_matches_reference(const sweep::SweepTaskData& data,
   }
   EXPECT_EQ(data.num_flux_slots(),
             static_cast<std::int64_t>(ref.slot_of.size()));
-  for (const auto& e : g.remote_in)
-    EXPECT_EQ(data.slot_of_remote_in(e.face), ref.slot_of.at(e.face));
+  for (const auto& e : g.remote_in) {
+    EXPECT_EQ(data.remote_in(e.face).slot, ref.slot_of.at(e.face));
+    EXPECT_EQ(data.remote_in(e.face).v, e.v);
+  }
 
   std::vector<std::int64_t> cut_reads;
   for (const auto& e : g.lagged_local) cut_reads.push_back(e.face);
@@ -671,6 +676,47 @@ TEST(FaceSlotInterning, UntouchedFaceThrowsAndScratchRecovers) {
   });
 }
 
+/// The first (patch, angle) task of `tc` with a remote-in face whose
+/// downwind vertex waits on nothing else; returns that face through
+/// `lone_face`.
+graph::PatchTaskGraph task_with_lone_remote_face(const StructuredCase& tc,
+                                                 std::int64_t& lone_face) {
+  for (int a = 0; a < tc.quad.num_angles(); ++a)
+    for (int p = 0; p < tc.ps.num_patches(); ++p) {
+      graph::PatchTaskGraph g = graph::build_patch_task_graph(
+          tc.m, tc.ps, PatchId{p}, tc.quad.angle(a).dir, AngleId{a});
+      for (const auto& e : g.remote_in)
+        if (g.initial_counts[static_cast<std::size_t>(e.v)] == 1) {
+          lone_face = e.face;
+          return g;
+        }
+    }
+  ADD_FAILURE() << "no task has a remote-in face with a lone vertex";
+  return {};
+}
+
+TEST(FaceSlotInterning, FaceFeedingTwoVerticesThrows) {
+  const StructuredCase tc;
+  std::int64_t face = -1;
+  graph::PatchTaskGraph g = task_with_lone_remote_face(tc, face);
+  ASSERT_GE(face, 0);
+  // A second remote-in edge naming the same face but another vertex.
+  graph::RemoteInEdge twin = g.remote_in.front();
+  twin.v = (twin.v + 1) % g.num_vertices;
+  g.remote_in.push_back(twin);
+  const sn::Ordinate& ordinate = tc.quad.angle(g.angle.value());
+  try {
+    const sweep::SweepTaskData data(std::move(g),
+                                    graph::PriorityStrategy::SLBD, tc.disc,
+                                    tc.ps, ordinate);
+    ADD_FAILURE() << "a face feeding two vertices must throw";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("feeds local vertices"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // (h) The parallel build reproduces a serial, one-task-at-a-time build.
 // ---------------------------------------------------------------------------
@@ -735,8 +781,10 @@ void expect_same_task_data(const sweep::SweepTaskData& got,
     EXPECT_EQ(got.destination(d), want.destination(d));
     EXPECT_EQ(got.destination_capacity(d), want.destination_capacity(d));
   }
-  for (const auto& e : g.remote_in)
-    EXPECT_EQ(got.slot_of_remote_in(e.face), want.slot_of_remote_in(e.face));
+  for (const auto& e : g.remote_in) {
+    EXPECT_EQ(got.remote_in(e.face).slot, want.remote_in(e.face).slot);
+    EXPECT_EQ(got.remote_in(e.face).v, want.remote_in(e.face).v);
+  }
   const auto seeds = [](const sweep::SweepTaskData& d) {
     std::vector<std::tuple<std::int32_t, std::int32_t, double>> out;
     for (const auto& s : d.lagged_seed_slots()) out.push_back(slot_tuple(s));
@@ -755,11 +803,10 @@ void expect_same_task_data(const sweep::SweepTaskData& got,
     };
     EXPECT_EQ(out_local(got), out_local(want)) << "vertex " << v;
     const auto out_remote = [v](const sweep::SweepTaskData& d) {
-      std::vector<std::tuple<std::int64_t, std::int64_t, std::int32_t,
-                             std::int32_t>>
+      std::vector<std::tuple<std::int64_t, std::int32_t, std::int32_t>>
           edges;
       d.for_out_remote(v, [&](const sweep::RemoteOut& e) {
-        edges.emplace_back(e.dst_cell, e.face, e.slot, e.dst);
+        edges.emplace_back(e.face, e.slot, e.dst);
       });
       return edges;
     };
@@ -885,6 +932,70 @@ TEST(PlanBuild, CyclicErrorNamesLowestCyclicAngle) {
     ASSERT_NE(plan, nullptr);
     EXPECT_TRUE(plan->has_cycles());
   });
+}
+
+
+// ---------------------------------------------------------------------------
+// (i) A hand-driven program rejects malformed stream content. These are
+// JSWEEP_CHECKs, so they hold in Release builds too.
+// ---------------------------------------------------------------------------
+
+/// A one-record W = 1 stream carrying flux 1.0 through `face` to `dst`.
+core::Stream record_stream(const ProgramKey& dst, std::int64_t face) {
+  core::Stream s;
+  s.dst = dst;
+  const double lane = 1.0;
+  sweep::begin_records(s.data, 1, 1);
+  sweep::append_record(s.data, face, &lane, 1);
+  sweep::end_records(s.data, 1);
+  return s;
+}
+
+TEST(ProgramInput, MalformedRecordsThrowCheckError) {
+  const StructuredCase tc;
+  const auto q = test_source(tc.m.num_cells());
+  std::int64_t lone = -1;
+  graph::PatchTaskGraph g = task_with_lone_remote_face(tc, lone);
+  ASSERT_GE(lone, 0);
+  std::vector<std::int64_t> faces;
+  for (const auto& e : g.remote_in) faces.push_back(e.face);
+  std::sort(faces.begin(), faces.end());
+  faces.erase(std::unique(faces.begin(), faces.end()), faces.end());
+  const sn::Ordinate& ordinate = tc.quad.angle(g.angle.value());
+  const sweep::SweepTaskData data(std::move(g), graph::PriorityStrategy::SLBD,
+                                  tc.disc, tc.ps, ordinate);
+  sweep::SweepShared shared;
+  shared.disc = &tc.disc;
+  shared.patches = &tc.ps;
+  shared.quad = &tc.quad;
+  shared.q_per_ster = &q;
+  sweep::SweepPatchProgram program(data, shared, {});
+  program.init();
+
+  const auto expect_refused = [&](std::int64_t face, const std::string& why) {
+    try {
+      program.input(record_stream(program.key(), face));
+      ADD_FAILURE() << "face " << face << " must be refused: " << why;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  // A face the patch never reads: the far corner cell's outflow.
+  const CellId far{tc.m.num_cells() - 1};
+  expect_refused(graph::structured_face_id(far, mesh::FaceDir::XHi),
+                 "never reads");
+  // A second delivery of a face whose vertex waits on it alone.
+  program.input(record_stream(program.key(), lone));
+  expect_refused(lone, "dependency underflow");
+  // Deliver the rest once each and retire every vertex; then any record,
+  // even a well-formed one, arrives too late.
+  for (const auto face : faces)
+    if (face != lone) program.input(record_stream(program.key(), face));
+  while (!program.vote_to_halt()) program.compute();
+  ASSERT_EQ(program.remaining_work(), 0);
+  expect_refused(lone, "after it retired all work");
+  expect_refused(faces.back(), "after it retired all work");
 }
 
 }  // namespace
