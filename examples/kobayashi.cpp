@@ -42,11 +42,13 @@ int main(int argc, char** argv) {
 
   Table table({"engine", "iterations", "time(s)", "max|dphi|"});
 
-  // Serial reference.
+  // Serial reference: the dense single-threaded sweep (set-up timed too,
+  // as the engines' plan builds are).
   WallTimer t_serial;
+  sn::StructuredSerialSweeper serial_sweeper(disc, quad);
   const auto serial = sn::source_iteration(
       xs,
-      [&](const std::vector<double>& q) { return serial_sweep(disc, quad, q); },
+      [&](const std::vector<double>& q) { return serial_sweeper.sweep(q); },
       opts);
   table.add_row({"serial", Table::num(static_cast<std::int64_t>(
                                serial.iterations)),

@@ -10,8 +10,15 @@ Validates every markdown link in the given files (or the default doc set):
   - absolute http(s) URLs are NOT fetched (CI must not flake on the
     network) — they are only syntax-checked.
 
-Exit status 0 = all links resolve; 1 = at least one broken link (each one
-is printed with file:line).
+README.md and docs/ARCHITECTURE.md describe the tree as it is, so they
+get one more check: every backticked path with a directory part and a
+.hpp/.cpp/.py/.md/.json/.csv suffix (``sweep/plan.hpp``,
+``tests/test_sim.cpp``) must name a file at the repo root or under src/.
+The history files (CHANGES.md, ROADMAP.md) name deleted files on purpose
+and are exempt. Files named on the command line get both checks.
+
+Exit status 0 = all links and paths resolve; 1 = at least one broken one
+(each is printed with file:line).
 """
 
 from __future__ import annotations
@@ -30,10 +37,16 @@ DEFAULT_FILES = [
     "docs/ARCHITECTURE.md",
 ]
 
+# Docs that must name only files that exist (see the module docstring).
+PATH_CHECKED_FILES = ["README.md", "docs/ARCHITECTURE.md"]
+
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 IMAGE_RE = re.compile(r"\!\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 HEADING_RE = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 CODE_FENCE_RE = re.compile(r"^(```|~~~)")
+SOURCE_PATH_RE = re.compile(
+    r"`([A-Za-z0-9_.-]+(?:/[A-Za-z0-9_.-]+)+\.(?:hpp|cpp|py|md|json|csv))"
+    r"(?:#[^`]*)?`")
 
 
 def github_slug(heading: str) -> str:
@@ -85,10 +98,31 @@ def iter_links(path: Path):
                 yield lineno, m.group(1)
 
 
+def shown(path: Path, root: Path) -> Path:
+    return path.relative_to(root) if path.is_relative_to(root) else path
+
+
+def listed(files: list[Path], root: Path) -> str:
+    return ", ".join(str(shown(f.resolve(), root)) for f in files)
+
+
+def check_source_paths(path: Path, root: Path) -> list[str]:
+    """Backticked repo paths that name no file at the root or under src/."""
+    errors: list[str] = []
+    for lineno, line in enumerate(
+            path.read_text(encoding="utf-8").splitlines(), start=1):
+        for m in SOURCE_PATH_RE.finditer(line):
+            rel = m.group(1)
+            if not ((root / rel).is_file() or (root / "src" / rel).is_file()):
+                errors.append(f"{shown(path, root)}:{lineno}: no file "
+                              f"'{rel}' at the repo root or under src/")
+    return errors
+
+
 def check_file(path: Path, root: Path) -> list[str]:
     errors: list[str] = []
     for lineno, target in iter_links(path):
-        where = f"{path.relative_to(root)}:{lineno}"
+        where = f"{shown(path, root)}:{lineno}"
         if target.startswith(("http://", "https://")):
             if " " in target:
                 errors.append(f"{where}: malformed URL '{target}'")
@@ -117,9 +151,9 @@ def check_file(path: Path, root: Path) -> list[str]:
 
 def main(argv: list[str]) -> int:
     root = Path(__file__).resolve().parent.parent
-    files = [Path(a) for a in argv[1:]] or [
-        root / f for f in DEFAULT_FILES if (root / f).exists()
-    ]
+    named = [Path(a) for a in argv[1:]]
+    files = named or [root / f for f in DEFAULT_FILES if (root / f).exists()]
+    path_checked = named or [root / f for f in PATH_CHECKED_FILES]
     errors: list[str] = []
     for f in files:
         if not f.exists():
@@ -128,10 +162,14 @@ def main(argv: list[str]) -> int:
         errors.extend(check_file(f.resolve(), root))
     for e in errors:
         print(f"BROKEN LINK: {e}", file=sys.stderr)
-    checked = ", ".join(str(f.relative_to(root) if f.is_absolute() else f)
-                        for f in files)
+    stale = [e for f in path_checked if f.exists()
+             for e in check_source_paths(f.resolve(), root)]
+    for e in stale:
+        print(f"STALE PATH: {e}", file=sys.stderr)
+    errors.extend(stale)
     if not errors:
-        print(f"link check OK ({checked})")
+        print(f"link check OK ({listed(files, root)}); "
+              f"path check OK ({listed(path_checked, root)})")
     return 1 if errors else 0
 
 

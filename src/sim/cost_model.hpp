@@ -39,8 +39,6 @@ struct CostModel {
   double route_msg_ns = 300.0;
   /// Master service for a locally-delivered stream.
   double local_route_ns = 120.0;
-  /// Bytes per stream item (cell id + face id + flux value).
-  double item_bytes = 24.0;
 
   // --- collectives ----------------------------------------------------------
   /// Barrier/allreduce cost, charged log2(P) times the message latency.

@@ -6,11 +6,15 @@
 
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "sweep/stream_codec.hpp"
 #include "trace/trace.hpp"
 
 namespace jsweep::sim {
 
 namespace {
+
+/// Wire bytes per interface face: one stream record of a one-group program.
+const double kFaceBytes = static_cast<double>(sweep::record_size(1));
 
 /// Representative direction of an octant (its diagonal).
 mesh::Vec3 octant_dir(int oct) {
@@ -484,7 +488,7 @@ SimResult DataDrivenSim::run_data_driven(const Prepared& prep) {
       const auto dproc = static_cast<std::size_t>(
           prep.proc_of[static_cast<std::size_t>(nb.patch)]);
       const double bytes =
-          delta * static_cast<double>(nb.interface_faces) * cm.item_bytes;
+          delta * static_cast<double>(nb.interface_faces) * kFaceBytes;
       if (dproc == proc) {
         const double ts =
             std::max(master_free[proc], now) + cm.local_route_ns;
@@ -770,9 +774,8 @@ SimResult DataDrivenSim::run_bsp(const Prepared& prep) {
           result.breakdown.route += fold * cm.local_route_ns;
         }
         if (sproc != dproc) {
-          const double bytes = delta *
-                               static_cast<double>(nb.interface_faces) *
-                               cm.item_bytes;
+          const double bytes =
+              delta * static_cast<double>(nb.interface_faces) * kFaceBytes;
           const double pack_ns = bytes * cm.pack_byte_ns;
           const double route_ns = fold * cm.route_msg_ns;
           proc_master[sproc] += pack_ns + route_ns;

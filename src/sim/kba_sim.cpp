@@ -22,8 +22,8 @@ SimResult simulate_kba(const KbaSimConfig& config,
   SimResult result;
   result.cores = ranks;
 
-  // Owned extents per rank (even split; remainder spread like the real
-  // KBA solver's split_range).
+  // Owned extents per rank: an even split, the remainder spread one cell
+  // at a time across the ranks.
   const auto x_cells = [&](int rx) {
     return static_cast<std::int64_t>(d.i) * (rx + 1) / px -
            static_cast<std::int64_t>(d.i) * rx / px;

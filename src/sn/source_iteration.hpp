@@ -5,8 +5,8 @@
 /// recomputes the isotropic emission density from the previous scalar flux
 /// and applies one full transport sweep; convergence is the relative L∞
 /// change of the scalar flux. The sweep itself is pluggable — serial
-/// reference, JSweep data-driven engine, BSP engine or KBA all fit behind
-/// the same operator signature.
+/// reference, JSweep data-driven engine or BSP engine all fit behind the
+/// same operator signature.
 
 #include <functional>
 #include <vector>

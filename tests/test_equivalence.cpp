@@ -1,5 +1,5 @@
 // Cross-engine equivalence suite (ctest label `equivalence`): on a shared
-// matrix of scenarios — structured, unstructured, AMR-refined, and cyclic
+// matrix of scenarios — structured, unstructured, refined, and cyclic
 // meshes — the data-driven engine, the BSP engine and the serial
 // reference must produce identical scalar fluxes to
 // 1e-12, sweep after sweep. The kernels are deterministic and execution
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "comm/cluster.hpp"
-#include "mesh/amr.hpp"
 #include "mesh/generators.hpp"
 #include "mesh/refine.hpp"
 #include "partition/adjacency.hpp"
@@ -155,15 +154,19 @@ TEST(Equivalence, UnstructuredBall) {
                            serial_reference(disc, quad, m.num_cells()));
 }
 
-TEST(Equivalence, AmrRefinedBox) {
-  // AMR path: refine the Kobayashi source/duct region one level and sweep
-  // the resulting fine box as its own decomposed mesh.
+TEST(Equivalence, RefinedKobayashiCornerBox) {
+  // The source corner of Kobayashi-8 (coarse cells [0,2)×[0,3)×[0,2))
+  // refined 2× per axis and swept as its own decomposed mesh: each fine
+  // cell takes the material of its coarse parent.
   const mesh::StructuredMesh coarse = mesh::make_kobayashi_mesh(8);
-  const mesh::AmrHierarchy amr(
-      coarse,
-      [&](CellId c) { return coarse.material(c) != mesh::kMatShield; }, 2);
-  ASSERT_FALSE(amr.fine_boxes().empty());
-  const mesh::StructuredMesh m = amr.box_mesh(0);
+  mesh::StructuredMesh m({4, 6, 4}, coarse.spacing() / 2.0, coarse.origin());
+  std::vector<int> mats(static_cast<std::size_t>(m.num_cells()));
+  for (std::int64_t c = 0; c < m.num_cells(); ++c) {
+    const mesh::Index3 p = m.index_of(CellId{c});
+    mats[static_cast<std::size_t>(c)] =
+        coarse.material(coarse.cell_at({p.i / 2, p.j / 2, p.k / 2}));
+  }
+  m.set_materials(std::move(mats));
   const sn::CellXs xs =
       expand(sn::MaterialTable::kobayashi(), m.materials(), m.num_cells());
   const sn::StructuredDD disc(m, xs);
@@ -174,7 +177,7 @@ TEST(Equivalence, AmrRefinedBox) {
   const partition::CsrGraph cg = partition::cell_graph(m);
   const partition::PatchSet ps(partition::block_partition(layout),
                                layout.num_patches(), &cg);
-  expect_all_engines_match("amr-box", m, ps, disc, quad,
+  expect_all_engines_match("refined-box", m, ps, disc, quad,
                            serial_reference(disc, quad, m.num_cells()));
 }
 

@@ -16,6 +16,7 @@
 #include "sim/kba_sim.hpp"
 #include "sim/patch_topology.hpp"
 #include "support/check.hpp"
+#include "sweep/stream_codec.hpp"
 
 namespace jsweep::sim {
 namespace {
@@ -184,6 +185,31 @@ SimConfig small_config(int processes, int workers) {
   return cfg;
 }
 
+/// Interface faces that one full sweep sends between processes: every
+/// angle crosses each downwind interface of a patch once, and only the
+/// ones whose two patches sit on different processes go on the wire.
+double remote_faces_crossed(const PatchTopology& topo,
+                            const sn::Quadrature& quad, int processes) {
+  const auto proc_of = assign_processes(topo, processes);
+  double faces = 0.0;
+  for (int a = 0; a < quad.num_angles(); ++a)
+    for (std::int32_t p = 0; p < topo.num_patches(); ++p)
+      topo.for_downwind(p, quad.angle(a).dir, [&](const PatchNeighbor& nb) {
+        if (proc_of[static_cast<std::size_t>(p)] !=
+            proc_of[static_cast<std::size_t>(nb.patch)])
+          faces += static_cast<double>(nb.interface_faces);
+      });
+  return faces;
+}
+
+/// A simulated program is one group wide, so each remote face costs one
+/// single-lane stream record on the wire.
+void expect_record_bytes_per_face(const SimResult& r, double faces) {
+  ASSERT_GT(faces, 0.0);
+  const auto record = static_cast<double>(sweep::record_size(1));
+  EXPECT_NEAR(static_cast<double>(r.bytes) / faces, record, 0.01 * record);
+}
+
 TEST(DataDrivenSim, ExecutesAllChunks) {
   const PatchTopology topo =
       PatchTopology::structured({32, 32, 32}, {8, 8, 8});
@@ -195,6 +221,7 @@ TEST(DataDrivenSim, ExecutesAllChunks) {
   EXPECT_GT(r.elapsed_seconds, 0.0);
   EXPECT_GT(r.messages, 0);
   EXPECT_EQ(r.cores, 4 * 4);
+  expect_record_bytes_per_face(r, remote_faces_crossed(topo, quad, 4));
   // Breakdown adds up to total core time.
   const auto& b = r.breakdown;
   EXPECT_NEAR(b.kernel + b.graphop + b.pack + b.route + b.idle,
@@ -318,6 +345,9 @@ TEST(BspSim, SlowerThanDataDriven) {
   const SimResult rb = DataDrivenSim(topo, quad, bsp).run();
   EXPECT_EQ(rb.chunk_executions, rd.chunk_executions);
   EXPECT_GT(rb.supersteps, 0);
+  const double faces = remote_faces_crossed(topo, quad, 4);
+  expect_record_bytes_per_face(rd, faces);
+  expect_record_bytes_per_face(rb, faces);
   // The superstep barrier + one-chunk-per-step idling must cost time:
   // the paper's core claim (Fig. 17).
   EXPECT_GT(rb.elapsed_seconds, rd.elapsed_seconds);

@@ -1,6 +1,6 @@
 // Integration tests for the parallel sweep component: the data-driven
-// engine, the BSP baseline and KBA must all reproduce
-// the serial reference exactly, under every configuration.
+// engine and the BSP baseline must both reproduce the serial reference
+// exactly, under every configuration.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "partition/patch_set.hpp"
 #include "sn/serial_sweep.hpp"
 #include "sn/source_iteration.hpp"
-#include "sweep/kba.hpp"
 #include "sweep/session.hpp"
 
 namespace jsweep::sweep {
@@ -309,30 +308,6 @@ TEST(SweepBsp, DataDrivenUsesFewerGlobalSyncs) {
   });
   EXPECT_GT(supersteps.load(), 3);
 }
-
-// ---------------------------------------------------------------------------
-// KBA baseline
-// ---------------------------------------------------------------------------
-
-class SweepKba : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
-
-TEST_P(SweepKba, MatchesSerial) {
-  const auto [px, py, zb] = GetParam();
-  const StructuredCase cs;
-  std::vector<double> kba_phi;
-  comm::Cluster::run(px * py, [&](comm::Context& ctx) {
-    KbaSolver kba(ctx, cs.disc, cs.quad, {px, py, zb});
-    const auto phi = kba.sweep(cs.q);
-    if (ctx.rank().value() == 0) kba_phi = phi;
-  });
-  expect_equal(kba_phi, cs.serial());
-}
-
-INSTANTIATE_TEST_SUITE_P(Grids, SweepKba,
-                         ::testing::Values(std::tuple{1, 1, 4},
-                                           std::tuple{2, 2, 2},
-                                           std::tuple{4, 2, 8},
-                                           std::tuple{2, 3, 1}));
 
 // ---------------------------------------------------------------------------
 // Full solves: source iteration through the parallel sweep
